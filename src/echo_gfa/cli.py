@@ -29,6 +29,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -320,9 +321,13 @@ def config_kind(data: dict) -> str:
 # ---------------------------------------------------------------------------
 # curve serialisation
 
-def _fmt(x: float) -> str:
-    # 17 significant digits: lossless round-trip for binary64
-    return f"{x:.16e}"
+_CSV_HEADER = "t,re_f,im_f,re_err,im_err"
+# 17 significant digits: lossless round-trip for binary64
+_CSV_NUMBER = "%.16e"
+# a missing error column is written as zeros
+_CSV_ZERO = _CSV_NUMBER % 0.0
+# rows formatted per write; bounds the text held in memory
+_CSV_BLOCK_ROWS = 4096
 
 
 def gamma_tag(g: float) -> str:
@@ -330,25 +335,31 @@ def gamma_tag(g: float) -> str:
 
 
 def write_curve(path: Path, curve: FidelityCurve, fmt: str) -> None:
-    times = curve.times
-    re_err = curve.stderr_re if curve.stderr_re is not None else np.zeros(len(curve))
-    im_err = curve.stderr_im if curve.stderr_im is not None else np.zeros(len(curve))
+    """Write a curve as CSV (``\\r\\n`` rows, ``%.16e`` numbers) or JSON."""
+    values = curve.values
     if fmt == "csv":
+        columns = [curve.times, values.real, values.imag]
+        fields = [_CSV_NUMBER] * 3
+        for err in (curve.stderr_re, curve.stderr_im):
+            if err is None:
+                fields.append(_CSV_ZERO)
+            else:
+                columns.append(err)
+                fields.append(_CSV_NUMBER)
+        row = ",".join(fields) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "re_f", "im_f", "re_err", "im_err"])
-            for i in range(len(curve)):
-                v = curve.values[i]
-                writer.writerow(
-                    [_fmt(times[i]), _fmt(v.real), _fmt(v.imag), _fmt(re_err[i]), _fmt(im_err[i])]
-                )
+            fh.write(_CSV_HEADER + "\r\n")
+            for lo in range(0, len(curve), _CSV_BLOCK_ROWS):
+                block = [col[lo : lo + _CSV_BLOCK_ROWS].tolist() for col in columns]
+                fh.write("".join(map(row.__mod__, zip(*block))))
     else:
+        zeros = np.zeros(len(curve))
         payload = {
-            "t": [float(x) for x in times],
-            "re_f": [float(x) for x in curve.values.real],
-            "im_f": [float(x) for x in curve.values.imag],
-            "re_err": [float(x) for x in re_err],
-            "im_err": [float(x) for x in im_err],
+            "t": curve.times.tolist(),
+            "re_f": values.real.tolist(),
+            "im_f": values.imag.tolist(),
+            "re_err": (zeros if curve.stderr_re is None else curve.stderr_re).tolist(),
+            "im_err": (zeros if curve.stderr_im is None else curve.stderr_im).tolist(),
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True)
@@ -371,14 +382,20 @@ def read_curve(path: Path) -> FidelityCurve:
             raise ConfigError(f"{path}: missing column {exc}") from exc
     else:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["t", "re_f", "im_f", "re_err", "im_err"]:
+            header = next(csv.reader([fh.readline()]))
+            if header != _CSV_HEADER.split(","):
                 raise ConfigError(f"{path}: unexpected header {header!r}")
-            rows = [[float(x) for x in row] for row in reader]
-        if len(rows) < 2:
+            with warnings.catch_warnings():
+                # an empty body is reported below, not as a numpy warning
+                warnings.simplefilter("ignore", UserWarning)
+                try:
+                    arr = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: {exc}") from exc
+        if arr.shape[0] < 2:
             raise ConfigError(f"{path}: need at least two grid points")
-        arr = np.asarray(rows, dtype=float)
+        if arr.shape[1] != 5:
+            raise ConfigError(f"{path}: expected 5 columns, got {arr.shape[1]}")
         t = arr[:, 0]
         values = arr[:, 1] + 1j * arr[:, 2]
         re_err, im_err = arr[:, 3], arr[:, 4]
@@ -453,7 +470,6 @@ def cmd_simulate(args) -> int:
 
     t0 = time.perf_counter()
     report = run_ensemble(config, n_jobs=threads)
-    elapsed = time.perf_counter() - t0
 
     fmt = args.format
     ext = "csv" if fmt == "csv" else "json"
@@ -475,6 +491,7 @@ def cmd_simulate(args) -> int:
         emit(f"diff_sim_gamma_{tag}", report.sim_minus_f[g])
         emit(f"diff_theory_gamma_{tag}", report.theory_minus_f[g])
     write_manifest(out, "simulate", fmt, resolved, files, {"alpha": _alpha_map(config)})
+    elapsed = time.perf_counter() - t0
 
     n_total = config.n_batch * config.n_run
     print(
@@ -520,7 +537,6 @@ def cmd_theory(args) -> int:
                 f"gamma = {g:g} with dt = {f_lambda.grid.dt:g} violates gamma*dt/2 < 1"
             )
     phi_by_gamma, theory, first = theory_pipeline(f_lambda, kernel, config.gamma_list)
-    elapsed = time.perf_counter() - t0
 
     files = {}
 
@@ -541,6 +557,7 @@ def cmd_theory(args) -> int:
         out, "theory", fmt, resolved, files,
         {"alpha": _alpha_map(config), "kernel_source": source},
     )
+    elapsed = time.perf_counter() - t0
     print(f"theory: kernels from {source} in {elapsed:.1f} s -> {out} ({len(files) + 1} files)")
     return EXIT_OK
 
@@ -550,7 +567,9 @@ def cmd_general(args) -> int:
     if config_kind(data) != "general":
         raise ConfigError("general needs a config with 'coupling_strength' and 'kernel'")
     pieces, resolved = parse_general_config(data, base, args.seed)
-    _resolve_threads(args)  # accepted for interface symmetry; draws run serially
+    if _resolve_threads(args) > 1:
+        # --threads is accepted for interface symmetry only
+        print("general: coupling draws run serially; --threads is ignored", file=sys.stderr)
     out = _prepare_out(args)
     fmt = args.format
     ext = "csv" if fmt == "csv" else "json"
@@ -589,7 +608,6 @@ def cmd_general(args) -> int:
     rate = pieces["strength"] ** 2 * dim * pieces["c0"]
     ref_gen = rmt_generator(h_lam, h_zero, rate)
     reference = trace_curve(propagate(ref_gen, rho0, grid, method=pieces["method"]))
-    elapsed = time.perf_counter() - t0
 
     files = {}
     for name, curve in (("f_general", f_general), ("f_rmt_reference", reference)):
@@ -600,6 +618,7 @@ def cmd_general(args) -> int:
         out, "general", fmt, resolved, files,
         {"reduction_rate": rate},
     )
+    elapsed = time.perf_counter() - t0
     print(
         f"general: {pieces['n_draws']} draw(s) (dim={dim}, method={pieces['method']}) "
         f"in {elapsed:.1f} s -> {out} ({len(files) + 1} files)"

@@ -254,18 +254,18 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     f_all = np.empty((n_total, nt), dtype=complex)
     k_all = np.empty((n_total, nt), dtype=complex)
     fg_all = np.empty((n_total, m, nt), dtype=complex)
-    if n_jobs == 1:
-        results = map(_chunk_task, tasks)
-    else:
-        pool = ProcessPoolExecutor(max_workers=n_jobs)
-        results = pool.map(_chunk_task, tasks)
-    for start, f_part, k_part, fg_part in results:
-        stop = start + f_part.shape[0]
-        f_all[start:stop] = f_part
-        k_all[start:stop] = k_part
-        fg_all[start:stop] = fg_part
-    if n_jobs != 1:
-        pool.shutdown()
+    pool = ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else None
+    try:
+        results = map(_chunk_task, tasks) if pool is None else pool.map(_chunk_task, tasks)
+        for start, f_part, k_part, fg_part in results:
+            stop = start + f_part.shape[0]
+            f_all[start:stop] = f_part
+            k_all[start:stop] = k_part
+            fg_all[start:stop] = fg_part
+    finally:
+        if pool is not None:
+            # also on a failed realization: drop queued chunks, reap the workers
+            pool.shutdown(cancel_futures=True)
 
     # batch means, then statistics over batches
     shape = (config.n_batch, config.n_run)

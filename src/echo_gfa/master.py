@@ -25,7 +25,7 @@ is Gamma = gamma^2 * dim * C0.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -97,6 +97,8 @@ class CorrelationKernel:
     func: Callable[[float], float] | None = None
     s_table: np.ndarray | None = None
     c_table: np.ndarray | None = None
+    # transforms by frequency, shared by every gamma_operator on this kernel
+    _transforms: dict[float, complex] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind == "delta":
@@ -175,7 +177,9 @@ def gamma_operator(kernel: CorrelationKernel, spectral: Spectral, coupling: np.n
     In the eigenbasis the integral is elementwise:
     G_ab = V'_ab * Chat(E_b - E_a) with Chat the one-sided transform.  A
     delta kernel therefore gives (c0 / 2) V' exactly.  Real C(s) makes G
-    Hermitian, since Chat(-omega) = conj(Chat(omega)).
+    Hermitian, since Chat(-omega) = conj(Chat(omega)).  Transforms are
+    cached on the kernel, so operators for further couplings on the same
+    spectrum reuse them.
     """
     coupling = np.asarray(coupling, dtype=complex)
     n = spectral.eigvals.shape[0]
@@ -191,7 +195,7 @@ def gamma_operator(kernel: CorrelationKernel, spectral: Spectral, coupling: np.n
     vt = coupling if q is None else q.conj().T @ coupling @ q
     e = spectral.eigvals
     chat = np.empty((n, n), dtype=complex)
-    cache: dict[float, complex] = {}
+    cache = kernel._transforms
     for a in range(n):
         for b in range(n):
             w = float(e[b] - e[a])

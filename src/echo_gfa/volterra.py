@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .curves import FidelityCurve, TimeGrid, check_same_grid
 
@@ -56,11 +56,23 @@ class VolterraProblem:
         return self.f.grid
 
 
+def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two complex arrays through one FFT pair.
+
+    Bit-identical to ``scipy.signal.fftconvolve`` on complex inputs of length
+    >= 2 (every caller's case), without the cost of importing
+    ``scipy.signal``.  ``real=True`` sizes would not be bit-identical.
+    """
+    size = a.shape[0] + b.shape[0] - 1
+    n = sp_fft.next_fast_len(size, real=False)
+    return sp_fft.ifft(sp_fft.fft(a, n) * sp_fft.fft(b, n))[:size]
+
+
 def convolve(a: FidelityCurve, b: FidelityCurve) -> FidelityCurve:
     """Trapezoid-rule convolution (a * b)(t_n) = dt * sum'' a_m b_{n-m}."""
     grid = check_same_grid(a, b)
     av, bv = a.values, b.values
-    full = fftconvolve(av, bv)[: len(av)]
+    full = _fftconvolve(av, bv)[: len(av)]
     out = grid.dt * (full - 0.5 * av[0] * bv - 0.5 * bv[0] * av)
     out[0] = 0.0  # empty trapezoid sum; FFT round-off would leave ~1e-16 here
     return FidelityCurve(grid, out)
@@ -103,7 +115,7 @@ def _solve_fast(f: np.ndarray, kernel: np.ndarray, gamma: float, dt: float) -> n
         mid = (lo + hi) // 2
         recurse(lo, mid)
         # fold phi[lo:mid] into the right-hand side of the upper half
-        y = fftconvolve(phi[lo:mid], kap[1 : hi - lo])
+        y = _fftconvolve(phi[lo:mid], kap[1 : hi - lo])
         r[mid:hi] += y[mid - lo - 1 : hi - lo - 1]
         recurse(mid, hi)
 

@@ -86,6 +86,91 @@ class TestCurveIO:
             assert np.array_equal(back.stderr_re, curve.stderr_re)
             assert np.array_equal(back.stderr_im, curve.stderr_im)
 
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        # CRLF rows, %.16e numbers, signed zeros, tiny values, zero error columns
+        curve = FidelityCurve(
+            TimeGrid(dt=0.25, n_steps=4),
+            np.array([
+                complex(1.0, 0.0),
+                complex(-0.0, 0.5),
+                complex(1e-300, -3e-300),
+                complex(-0.125, -0.0),
+                complex(0.1, 0.2),
+            ]),
+        )
+        expected = (
+            b"t,re_f,im_f,re_err,im_err\r\n"
+            b"0.0000000000000000e+00,1.0000000000000000e+00,0.0000000000000000e+00,"
+            b"0.0000000000000000e+00,0.0000000000000000e+00\r\n"
+            b"2.5000000000000000e-01,-0.0000000000000000e+00,5.0000000000000000e-01,"
+            b"0.0000000000000000e+00,0.0000000000000000e+00\r\n"
+            b"5.0000000000000000e-01,1.0000000000000000e-300,-3.0000000000000002e-300,"
+            b"0.0000000000000000e+00,0.0000000000000000e+00\r\n"
+            b"7.5000000000000000e-01,-1.2500000000000000e-01,-0.0000000000000000e+00,"
+            b"0.0000000000000000e+00,0.0000000000000000e+00\r\n"
+            b"1.0000000000000000e+00,1.0000000000000001e-01,2.0000000000000001e-01,"
+            b"0.0000000000000000e+00,0.0000000000000000e+00\r\n"
+        )
+        path = tmp_path / "five.csv"
+        write_curve(path, curve, "csv")
+        assert path.read_bytes() == expected
+
+    def test_long_round_trip_crosses_blocks(self, tmp_path):
+        rng = np.random.default_rng(1)
+        n = 10_001
+        curve = FidelityCurve(
+            TimeGrid(dt=0.01, n_steps=n - 1),
+            rng.standard_normal(n) + 1j * rng.standard_normal(n) * 1e-200,
+            stderr_re=np.abs(rng.standard_normal(n)) * 1e-7,
+        )
+        for name in ("c.csv", "c.json"):
+            path = tmp_path / name
+            write_curve(path, curve, path.suffix[1:])
+            back = read_curve(path)
+            assert back.grid == curve.grid
+            assert np.array_equal(back.values, curve.values)
+            assert np.array_equal(back.stderr_re, curve.stderr_re)
+            assert back.stderr_im is None
+
+        # reference: one csv.writer row per point
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "re_f", "im_f", "re_err", "im_err"])
+            for t, v, e in zip(curve.times, curve.values, curve.stderr_re):
+                writer.writerow([f"{x:.16e}" for x in (t, v.real, v.imag, e, 0.0)])
+        assert (tmp_path / "c.csv").read_bytes() == reference.read_bytes()
+
+    def test_reads_lf_only_csv(self, tmp_path):
+        path = tmp_path / "lf.csv"
+        path.write_bytes(
+            b"t,re_f,im_f,re_err,im_err\n"
+            b"0.0,1.0,0.0,0.0,0.0\n"
+            b"0.5,0.25,-0.5,0.0,0.125\n"
+            b"1.0,-1.0,0.75,0.0,0.0\n"
+        )
+        back = read_curve(path)
+        assert back.grid == TimeGrid(dt=0.5, n_steps=2)
+        assert np.array_equal(back.values, [1.0, 0.25 - 0.5j, -1.0 + 0.75j])
+        assert back.stderr_re is None
+        assert np.array_equal(back.stderr_im, [0.0, 0.125, 0.0])
+
+    def test_malformed_csv_is_config_error(self, tmp_path):
+        from echo_gfa.cli import ConfigError
+
+        header = "t,re_f,im_f,re_err,im_err\n"
+        cases = {
+            "one_point.csv": (header + "0,1,0,0,0\n", "two grid points"),
+            "columns.csv": (header + "0,1,0\n0.5,1,0\n", "5 columns"),
+            "text.csv": (header + "0,1,0,0,0\n0.5,x,0,0,0\n", "could not convert"),
+            "grid.csv": (header + "0,1,0,0,0\n0.5,1,0,0,0\n0.7,1,0,0,0\n", "uniform"),
+        }
+        for name, (text, message) in cases.items():
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=message):
+                read_curve(path)
+
     def test_missing_file_is_config_error(self, tmp_path):
         from echo_gfa.cli import ConfigError
 
@@ -304,6 +389,42 @@ class TestGeneral:
         # strength^2 * dim * c0 = 0.09 * 4 * 1
         assert manifest["reduction_rate"] == pytest.approx(0.36)
         assert (out / "f_rmt_reference.csv").is_file()
+
+    def test_bath_transforms_shared_across_draws(self, tmp_path, monkeypatch):
+        from echo_gfa.master import CorrelationKernel
+
+        omegas = []
+        transform = CorrelationKernel.transform
+
+        def counting(self, omega):
+            omegas.append(omega)
+            return transform(self, omega)
+
+        monkeypatch.setattr(CorrelationKernel, "transform", counting)
+        calls = []
+        for n_draws in (1, 3):
+            omegas.clear()
+            cfg = write_general_config(
+                tmp_path / f"g{n_draws}.json", n_draws=n_draws,
+                kernel={"kind": "exponential", "tau_c": 0.5, "c0": 1.0},
+            )
+            out = tmp_path / f"out{n_draws}"
+            assert main(["general", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            # one quadrature per distinct |omega| over both spectra
+            assert len(omegas) == len({abs(w) for w in omegas})
+            calls.append(len(omegas))
+        assert calls[0] == calls[1] > 1
+
+    def test_threads_note_goes_to_stderr(self, tmp_path, capsys):
+        cfg = write_general_config(tmp_path / "g.json", n_draws=2)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["general", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
+        assert "serially" not in capsys.readouterr().err
+        assert main(
+            ["general", "--config", str(cfg), "--out", str(out2), "--threads", "2"]
+        ) == EXIT_OK
+        assert "run serially" in capsys.readouterr().err
+        assert read_payloads(out1) == read_payloads(out2)
 
     def test_fixed_coupling_file(self, tmp_path):
         v = np.diag([1.0, -1.0, 0.5, -0.5]).astype(complex)

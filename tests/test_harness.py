@@ -1,8 +1,11 @@
 """Ensemble runner: averaging, error bars, determinism, and method parity."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
+import echo_gfa.harness as harness_mod
 from echo_gfa.curves import FidelityCurve, TimeGrid
 from echo_gfa.harness import (
     ExperimentConfig,
@@ -201,3 +204,13 @@ class TestRunEnsemble:
     def test_rejects_bad_n_jobs(self):
         with pytest.raises(ValueError):
             run_ensemble(small_config(), n_jobs=0)
+
+    def test_failing_realization_does_not_leak_workers(self, monkeypatch):
+        def fail(cfg):
+            raise ValueError("injected failure")
+
+        # forked workers inherit the patched module
+        monkeypatch.setattr(harness_mod, "build_realization", fail)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_ensemble(small_config(n_run=40), n_jobs=2)
+        assert multiprocessing.active_children() == []

@@ -56,6 +56,15 @@ class TestConvolve:
         a, b = smooth_pair(grid)
         assert convolve(a, b).values[0] == 0.0
 
+    def test_fft_helper_matches_scipy_signal_bitwise(self):
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(3)
+        for n, m in ((2, 2), (601, 601), (1000, 7), (513, 1024), (4097, 4097), (12345, 999)):
+            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            assert np.array_equal(volterra_mod._fftconvolve(a, b), fftconvolve(a, b))
+
     def test_grid_mismatch_rejected(self):
         a = curve(TimeGrid(0.1, 10), np.ones(11))
         b = curve(TimeGrid(0.1, 11), np.ones(12))
