@@ -32,7 +32,7 @@ import numpy as np
 from . import volterra
 from .curves import FidelityCurve, TimeGrid, check_same_grid
 from .echo import EchoOperator, check_initial_state
-from .master import QuasiDensity, propagate, rmt_generator, trace_curve
+from .master import _MAX_SUPEROP_DIM, propagate, rmt_generator
 from .rmt import EnsembleConfig, build_realization
 
 SIM_METHODS = ("superoperator", "stepper", "volterra-per-realization")
@@ -229,7 +229,7 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     if int(n_jobs) != n_jobs or n_jobs < 1:
         raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
     method = config.resolved_method()
-    if method == "superoperator" and config.dim > 64:
+    if method == "superoperator" and config.dim > _MAX_SUPEROP_DIM:
         raise ValueError(
             f"superoperator simulation at dim = {config.dim} is infeasible "
             "(dense generator too large); use stepper or volterra-per-realization"

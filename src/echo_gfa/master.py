@@ -24,22 +24,19 @@ is Gamma = gamma^2 * dim * C0.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy import integrate
 from scipy.interpolate import CubicSpline
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import expm
 
 from .curves import FidelityCurve, TimeGrid
 from .echo import Spectral, check_initial_state
 
 # largest dim for which the dense superoperator route is allowed
 _MAX_SUPEROP_DIM = 64
-# condition-number ceiling for the superoperator eigenbasis
-_COND_LIMIT = 1e12
 _QUAD_TOL = 1e-11
 
 
@@ -323,28 +320,14 @@ class Trajectory:
         return self.states.shape[1]
 
 
-class _DefectiveSuperoperator(Exception):
-    """Internal: eigenbasis too ill-conditioned for spectral propagation."""
-
-
 def _propagate_superoperator(gen: EchoGenerator, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    l = gen.superoperator()
-    try:
-        w, r = np.linalg.eig(l)
-        lu_piv = lu_factor(r)
-    except np.linalg.LinAlgError as exc:
-        raise _DefectiveSuperoperator(str(exc)) from exc
-    (gecon,) = get_lapack_funcs(("gecon",), (r,))
-    rcond, info = gecon(lu_piv[0], np.linalg.norm(r, 1))
-    if info != 0 or rcond <= 0.0 or 1.0 / rcond > _COND_LIMIT:
-        raise _DefectiveSuperoperator(
-            f"eigenvector condition number {0 if rcond <= 0 else 1.0 / rcond:.2e} "
-            f"exceeds {_COND_LIMIT:.0e}"
-        )
-    coeff = lu_solve(lu_piv, rho0.reshape(-1))
+    # the grid is uniform, so X(t_k) = exp(L dt)^k X(0): one step matrix serves every point
+    step = expm(gen.superoperator() * grid.dt)
     d = gen.dim
-    phases = np.exp(np.multiply.outer(w, grid.times))
-    states = (r @ (coeff[:, None] * phases)).T
+    states = np.empty((len(grid), d * d), dtype=complex)
+    states[0] = rho0.reshape(-1)
+    for k in range(1, len(grid)):
+        np.matmul(step, states[k - 1], out=states[k])
     return states.reshape(len(grid), d, d)
 
 
@@ -391,11 +374,12 @@ def propagate(
 ) -> Trajectory:
     """Integrate the master equation from a density matrix over a grid.
 
-    ``superoperator`` diagonalises the dense generator once (dims up to 64);
-    if its eigenbasis is too ill-conditioned it falls back to the adaptive
-    ``stepper`` with a warning.  An ``inhomogeneity`` term (callable
-    t -> matrix added to dX/dt, e.g. a non-RMT bath feeding back) is only
-    supported by the stepper.
+    ``superoperator`` builds one exact step matrix expm(L dt) from the dense
+    generator L (dims up to 64) and applies it once per grid step; it needs
+    no eigenbasis, so defective generators are handled too.  ``stepper`` is
+    adaptive RK45.  An ``inhomogeneity`` term (callable t -> matrix added to
+    dX/dt, e.g. a non-RMT bath feeding back) is only supported by the
+    stepper.
     """
     matrix = rho0.matrix if isinstance(rho0, QuasiDensity) else np.asarray(rho0, dtype=complex)
     if matrix.shape != (generator.dim, generator.dim):
@@ -412,15 +396,7 @@ def propagate(
                 f"superoperator method is limited to dim <= {max_superop_dim} "
                 f"(got {generator.dim}); use method='stepper'"
             )
-        try:
-            states = _propagate_superoperator(generator, matrix, grid)
-        except _DefectiveSuperoperator as exc:
-            warnings.warn(
-                f"superoperator eigenbasis unusable ({exc}); falling back to stepper",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            states = _propagate_stepper(generator, matrix, grid, rtol, atol, None)
+        states = _propagate_superoperator(generator, matrix, grid)
     elif method == "stepper":
         states = _propagate_stepper(generator, matrix, grid, rtol, atol, inhomogeneity)
     else:

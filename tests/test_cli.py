@@ -316,6 +316,22 @@ class TestTheory:
         )
         assert rc == EXIT_CONFIG
 
+    def test_kernel_grid_must_match_config_grid(self, tmp_path, capsys):
+        # config grid: dt = 0.05, 40 steps; kernel files: 81 points
+        cfg = write_config(tmp_path / "c.json")
+        kdir = tmp_path / "k"
+        kdir.mkdir()
+        grid = TimeGrid(dt=0.05, n_steps=80)
+        for name in ("f_lambda", "f_bar"):
+            write_curve(kdir / f"{name}.csv", FidelityCurve(grid, np.ones(81, dtype=complex)), "csv")
+        rc = main(
+            ["theory", "--config", str(cfg), "--out", str(tmp_path / "o"),
+             "--kernels", str(kdir)]
+        )
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "n_steps = 80" in err and "n_steps = 40" in err
+
     def test_denormalised_kernel_is_numeric_error(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         kdir = tmp_path / "k"

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-import echo_gfa.master as master_mod
 from echo_gfa.curves import TimeGrid
 from echo_gfa.echo import EchoSetup, Spectral, fidelity_curve, kernel_curve
 from echo_gfa.master import (
@@ -317,16 +317,27 @@ class TestPropagate:
                 inhomogeneity=lambda t: np.zeros((2, 2)),
             )
 
-    def test_defective_superoperator_falls_back(self, monkeypatch):
-        real = make_realization(dim=4, seed=23)
-        gen = realization_generator(real, lam=0.1, rate=0.1)
-        grid = TimeGrid(dt=0.1, n_steps=30)
-        rho0 = QuasiDensity.maximally_mixed(4)
-        clean = propagate(gen, rho0, grid).states
-        monkeypatch.setattr(master_mod, "_COND_LIMIT", 0.5)
-        with pytest.warns(RuntimeWarning):
-            fallen = propagate(gen, rho0, grid).states
-        assert np.max(np.abs(fallen - clean)) < 1e-7
+    @pytest.mark.parametrize("form", ["rmt", "general"])
+    def test_stepped_states_match_expm_over_long_grid(self, form):
+        # the step matrix is applied 5000 times; the accumulated error must
+        # stay at rounding level against expm(L t_k) taken directly
+        dim = 6
+        if form == "rmt":
+            gen = realization_generator(make_realization(dim=dim, seed=23), lam=0.1, rate=0.1)
+        else:
+            rng = np.random.default_rng(29)
+            h0 = random_hermitian(dim, rng)
+            v = random_hermitian(dim, rng)
+            gen = general_generator(
+                h0 + 0.1 * v, h0, v, CorrelationKernel.exponential(tau_c=0.5), strength=0.3
+            )
+        grid = TimeGrid(dt=0.01, n_steps=5000)
+        rho0 = np.eye(dim, dtype=complex) / dim
+        states = _propagate_superoperator(gen, rho0, grid)
+        l = gen.superoperator()
+        for k in (1, 10, 100, 1000, 5000):
+            exact = expm(l * grid.times[k]) @ rho0.reshape(-1)
+            assert np.max(np.abs(states[k].reshape(-1) - exact)) < 1e-12
 
     def test_superoperator_dim_guard(self):
         dim = 70
