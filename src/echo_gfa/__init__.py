@@ -32,7 +32,6 @@ from .master import (
     CorrelationKernel,
     EchoGenerator,
     PropagationError,
-    QuadratureError,
     QuasiDensity,
     Trajectory,
     gamma_operator,
@@ -78,7 +77,6 @@ __all__ = [
     "CorrelationKernel",
     "EchoGenerator",
     "PropagationError",
-    "QuadratureError",
     "QuasiDensity",
     "Trajectory",
     "gamma_operator",

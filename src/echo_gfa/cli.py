@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -49,7 +50,6 @@ from .harness import (
 from .master import (
     CorrelationKernel,
     PropagationError,
-    QuadratureError,
     general_generator,
     propagate,
     rmt_generator,
@@ -192,16 +192,7 @@ def parse_ensemble_config(data: dict, base: Path, seed_override=None):
     if not isinstance(raw_gammas, list) or not raw_gammas:
         raise ConfigError("'gamma_list' must be a non-empty list of rates")
     gammas = tuple(_as_float(g, "gamma_list entry") for g in raw_gammas)
-    if any(g < 0 for g in gammas):
-        raise ConfigError(f"'gamma_list' entries must be >= 0, got {raw_gammas!r}")
-    if len(set(gammas)) != len(gammas):
-        raise ConfigError(f"'gamma_list' has duplicate entries: {raw_gammas!r}")
     grid = _parse_grid(_require(data, "grid", "config"), "config")
-    for g in gammas:
-        if 0.5 * g * grid.dt >= 1.0:
-            raise ConfigError(
-                f"gamma = {g:g} with dt = {grid.dt:g} violates gamma*dt/2 < 1; refine the grid"
-            )
     n_run = _as_int(_require(data, "n_run", "config"), "n_run", 1)
     n_batch = _as_int(data.get("n_batch", 3), "n_batch", 1)
     method = data.get("method", "auto")
@@ -254,23 +245,18 @@ def parse_general_config(data: dict, base: Path, seed_override=None):
     kind = _require(kdata, "kind", "config.kernel")
     if kind == "delta":
         _no_unknown(kdata, ("kind", "c0"), "config.kernel")
-        c0 = _as_float(kdata.get("c0", 1.0), "kernel.c0")
-        if c0 <= 0:
-            raise ConfigError(f"'kernel.c0' must be > 0, got {c0}")
-        kernel = CorrelationKernel.delta(c0)
-        resolved_kernel = {"kind": "delta", "c0": c0}
+        resolved_kernel = {"kind": kind}
     elif kind == "exponential":
         _no_unknown(kdata, ("kind", "tau_c", "c0"), "config.kernel")
         tau_c = _as_float(_require(kdata, "tau_c", "config.kernel"), "kernel.tau_c")
-        if tau_c <= 0:
-            raise ConfigError(f"'kernel.tau_c' must be > 0, got {tau_c}")
-        c0 = _as_float(kdata.get("c0", 1.0), "kernel.c0")
-        if c0 <= 0:
-            raise ConfigError(f"'kernel.c0' must be > 0, got {c0}")
-        kernel = CorrelationKernel.exponential(tau_c, c0)
-        resolved_kernel = {"kind": "exponential", "tau_c": tau_c, "c0": c0}
+        resolved_kernel = {"kind": kind, "tau_c": tau_c}
     else:
         raise ConfigError(f"'kernel.kind' must be 'delta' or 'exponential', got {kind!r}")
+    resolved_kernel["c0"] = _as_float(kdata.get("c0", 1.0), "kernel.c0")
+    try:
+        kernel = CorrelationKernel(**resolved_kernel)
+    except ValueError as exc:
+        raise ConfigError(f"config.kernel: {exc}") from exc
 
     grid = _parse_grid(_require(data, "grid", "config"), "config")
     n_draws = _as_int(data.get("n_draws", 1), "n_draws", 1)
@@ -301,7 +287,7 @@ def parse_general_config(data: dict, base: Path, seed_override=None):
 
     pieces = {
         "dim": dim, "beta": beta, "master_seed": master_seed, "lam": lam,
-        "strength": strength, "kernel": kernel, "c0": resolved_kernel["c0"],
+        "strength": strength, "kernel": kernel,
         "grid": grid, "n_draws": n_draws, "method": method,
         "initial_state": initial_state, "coupling": coupling,
     }
@@ -365,6 +351,16 @@ def write_curve(path: Path, curve: FidelityCurve, fmt: str) -> None:
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True)
             fh.write("\n")
+
+
+def write_curves(out: Path, curves, fmt: str) -> dict:
+    """Write (name, curve) pairs to ``out/<name>.<fmt>``; returns {name: filename}."""
+    ext = "csv" if fmt == "csv" else "json"
+    files = {}
+    for name, curve in curves:
+        files[name] = filename = f"{name}.{ext}"
+        write_curve(out / filename, curve, fmt)
+    return files
 
 
 def read_curve(path: Path) -> FidelityCurve:
@@ -455,10 +451,7 @@ def _prepare_out(args) -> Path:
 
 
 def _alpha_map(config: ExperimentConfig) -> dict:
-    return {
-        gamma_tag(g): (g / config.lam if config.lam != 0.0 else None)
-        for g in config.gamma_list
-    }
+    return {gamma_tag(g): a for g, a in config.alpha().items()}
 
 
 def cmd_simulate(args) -> int:
@@ -472,26 +465,19 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     report = run_ensemble(config, n_jobs=threads)
 
-    fmt = args.format
-    ext = "csv" if fmt == "csv" else "json"
-    files = {}
-
-    def emit(name: str, curve: FidelityCurve) -> None:
-        filename = f"{name}.{ext}"
-        write_curve(out / filename, curve, fmt)
-        files[name] = filename
-
-    emit("f_lambda", report.f_lambda)
-    emit("f_bar", report.kernel)
+    curves = [("f_lambda", report.f_lambda), ("f_bar", report.kernel)]
     for g in config.gamma_list:
         tag = gamma_tag(g)
-        emit(f"f_sim_gamma_{tag}", report.simulated[g])
-        emit(f"phi_gamma_{tag}", report.theory_phi[g])
-        emit(f"f_theory_gamma_{tag}", report.theory[g])
-        emit(f"first_order_gamma_{tag}", report.first_order[g])
-        emit(f"diff_sim_gamma_{tag}", report.sim_minus_f[g])
-        emit(f"diff_theory_gamma_{tag}", report.theory_minus_f[g])
-    write_manifest(out, "simulate", fmt, resolved, files, {"alpha": _alpha_map(config)})
+        curves += [
+            (f"f_sim_gamma_{tag}", report.simulated[g]),
+            (f"phi_gamma_{tag}", report.theory_phi[g]),
+            (f"f_theory_gamma_{tag}", report.theory[g]),
+            (f"first_order_gamma_{tag}", report.first_order[g]),
+            (f"diff_sim_gamma_{tag}", report.sim_minus_f[g]),
+            (f"diff_theory_gamma_{tag}", report.theory_minus_f[g]),
+        ]
+    files = write_curves(out, curves, args.format)
+    write_manifest(out, "simulate", args.format, resolved, files, {"alpha": _alpha_map(config)})
     elapsed = time.perf_counter() - t0
 
     n_total = config.n_batch * config.n_run
@@ -527,34 +513,23 @@ def cmd_theory(args) -> int:
             )
         source = str(kdir)
     else:
-        averages = run_ensemble(
-            ExperimentConfig(
-                dim=config.dim, beta=config.beta, master_seed=config.master_seed,
-                lam=config.lam, gamma_list=(), grid=config.grid,
-                n_run=config.n_run, n_batch=config.n_batch, method=config.method,
-                initial_state=config.initial_state,
-            ),
-            n_jobs=threads,
-        )
+        averages = run_ensemble(dataclasses.replace(config, gamma_list=()), n_jobs=threads)
         f_lambda, kernel = averages.f_lambda, averages.kernel
         source = "ensemble"
     phi_by_gamma, theory, first = theory_pipeline(f_lambda, kernel, config.gamma_list)
 
-    files = {}
+    def curves():
+        # a generator, so each difference curve is freed once written
+        yield "f_lambda", f_lambda
+        yield "f_bar", kernel
+        for g in config.gamma_list:
+            tag = gamma_tag(g)
+            yield f"phi_gamma_{tag}", phi_by_gamma[g]
+            yield f"f_theory_gamma_{tag}", theory[g]
+            yield f"first_order_gamma_{tag}", first[g]
+            yield f"diff_theory_gamma_{tag}", difference_curve(theory[g], f_lambda)
 
-    def emit(name: str, curve: FidelityCurve) -> None:
-        filename = f"{name}.{ext}"
-        write_curve(out / filename, curve, fmt)
-        files[name] = filename
-
-    emit("f_lambda", f_lambda)
-    emit("f_bar", kernel)
-    for g in config.gamma_list:
-        tag = gamma_tag(g)
-        emit(f"phi_gamma_{tag}", phi_by_gamma[g])
-        emit(f"f_theory_gamma_{tag}", theory[g])
-        emit(f"first_order_gamma_{tag}", first[g])
-        emit(f"diff_theory_gamma_{tag}", difference_curve(theory[g], f_lambda))
+    files = write_curves(out, curves(), fmt)
     write_manifest(
         out, "theory", fmt, resolved, files,
         {"alpha": _alpha_map(config), "kernel_source": source},
@@ -573,8 +548,6 @@ def cmd_general(args) -> int:
         # --threads is accepted for interface symmetry only
         print("general: coupling draws run serially; --threads is ignored", file=sys.stderr)
     out = _prepare_out(args)
-    fmt = args.format
-    ext = "csv" if fmt == "csv" else "json"
 
     dim, beta = pieces["dim"], pieces["beta"]
     grid: TimeGrid = pieces["grid"]
@@ -601,19 +574,12 @@ def cmd_general(args) -> int:
     f_general = FidelityCurve(grid, mean, stderr_re=stderr_re, stderr_im=stderr_im)
 
     # reduced-equation reference; exact reduction rate for a delta kernel
-    rate = pieces["strength"] ** 2 * dim * pieces["c0"]
+    rate = pieces["strength"] ** 2 * dim * pieces["kernel"].c0
     ref_gen = rmt_generator(h_lam, h_zero, rate)
     reference = trace_curve(propagate(ref_gen, rho0, grid, method=pieces["method"]))
 
-    files = {}
-    for name, curve in (("f_general", f_general), ("f_rmt_reference", reference)):
-        filename = f"{name}.{ext}"
-        write_curve(out / filename, curve, fmt)
-        files[name] = filename
-    write_manifest(
-        out, "general", fmt, resolved, files,
-        {"reduction_rate": rate},
-    )
+    files = write_curves(out, [("f_general", f_general), ("f_rmt_reference", reference)], args.format)
+    write_manifest(out, "general", args.format, resolved, files, {"reduction_rate": rate})
     elapsed = time.perf_counter() - t0
     print(
         f"general: {pieces['n_draws']} draw(s) (dim={dim}, method={pieces['method']}) "
@@ -682,7 +648,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, PropagationError, StepSizeError) as exc:
+    except (PropagationError, StepSizeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

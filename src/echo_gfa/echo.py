@@ -31,10 +31,10 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class Spectral:
-    """Eigendecomposition H = Q diag(eigvals) Q^dag; eigvecs None means H is diagonal."""
+    """Eigendecomposition H = Q diag(eigvals) Q^dag."""
 
     eigvals: np.ndarray
-    eigvecs: np.ndarray | None = None
+    eigvecs: np.ndarray
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.eigvals)):
@@ -45,18 +45,10 @@ class Spectral:
         vals, vecs = np.linalg.eigh(h)
         return cls(vals, vecs)
 
-    @classmethod
-    def diagonal(cls, levels: np.ndarray) -> "Spectral":
-        return cls(np.asarray(levels, dtype=float), None)
-
 
 def propagator(spectral: Spectral, t: float) -> np.ndarray:
     """U(t) = exp(-i H t) from the eigendecomposition of H."""
-    if not np.all(np.isfinite(spectral.eigvals)):
-        raise ValueError("propagator needs finite eigenvalues")
     phases = np.exp(-1j * spectral.eigvals * t)
-    if spectral.eigvecs is None:
-        return np.diag(phases)
     q = spectral.eigvecs
     return (q * phases) @ q.conj().T
 

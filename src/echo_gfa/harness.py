@@ -65,6 +65,11 @@ class ExperimentConfig:
             raise ValueError(f"every gamma must be finite and >= 0, got {self.gamma_list!r}")
         if len(set(gammas)) != len(gammas):
             raise ValueError(f"gamma_list has duplicates: {self.gamma_list!r}")
+        for g in gammas:
+            if 0.5 * g * self.grid.dt >= 1.0:
+                raise ValueError(
+                    f"gamma = {g:g} with dt = {self.grid.dt:g} violates gamma*dt/2 < 1; refine the grid"
+                )
         self.gamma_list = gammas
         if int(self.n_run) != self.n_run or self.n_run < 1:
             raise ValueError(f"n_run must be an integer >= 1, got {self.n_run!r}")
@@ -83,6 +88,10 @@ class ExperimentConfig:
             return self.method
         # dense superoperators are exact and cheap for small dims only
         return "superoperator" if self.dim <= 16 else "volterra-per-realization"
+
+    def alpha(self) -> dict[float, float | None]:
+        """Gamma / lam per rate; None when the echo is unperturbed."""
+        return {g: (g / self.lam if self.lam != 0.0 else None) for g in self.gamma_list}
 
     def digest(self) -> str:
         """Stable hash of everything that determines the results."""
@@ -286,9 +295,6 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     phi_by_gamma, theory, first = theory_pipeline(f_lambda, kernel, config.gamma_list)
     sim_minus_f = {g: difference_curve(simulated[g], f_lambda) for g in config.gamma_list}
     theory_minus_f = {g: difference_curve(theory[g], f_lambda) for g in config.gamma_list}
-    alpha = {
-        g: (g / config.lam if config.lam != 0.0 else None) for g in config.gamma_list
-    }
 
     metadata = {
         "method": method,
@@ -308,6 +314,6 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
         first_order=first,
         sim_minus_f=sim_minus_f,
         theory_minus_f=theory_minus_f,
-        alpha=alpha,
+        alpha=config.alpha(),
         metadata=metadata,
     )

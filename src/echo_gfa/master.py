@@ -19,17 +19,17 @@ ensemble::
     dX/dt = -i (H_lam X - X H_0) - Gamma (X - tr[X]/dim * 1) .
 
 For a delta-correlated bath C(s) with full-axis area C0 the reduction rate
-is Gamma = gamma^2 * dim * C0.
+is Gamma = gamma^2 * dim * C0.  Both bath kernels (delta and exponential)
+have closed-form one-sided transforms, so G_lam is a few matrix products in
+the eigenbasis of H_lam.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
 from .curves import FidelityCurve, TimeGrid
@@ -37,11 +37,6 @@ from .echo import Spectral, check_initial_state
 
 # largest dim for which the dense superoperator route is allowed
 _MAX_SUPEROP_DIM = 64
-_QUAD_TOL = 1e-11
-
-
-class QuadratureError(RuntimeError):
-    """One-sided Fourier transform of the bath correlation did not converge."""
 
 
 class PropagationError(RuntimeError):
@@ -76,96 +71,46 @@ class QuasiDensity:
         return complex(np.trace(self.matrix))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class CorrelationKernel:
-    """Bath autocorrelation C(s) on s >= 0 and its one-sided transform.
+    """Bath autocorrelation C(s) on s >= 0 and its closed-form one-sided transform.
 
-    Kinds:
+    Both kinds are normalised so that the even extension of C has area c0:
 
-    * ``delta``: C(s) = c0 * delta(s) with c0 the *full-axis* area, so the
-      one-sided integral picks up c0 / 2.
-    * ``parametric``: arbitrary real callable C(s).
-    * ``tabulated``: samples (s_i, C_i) interpolated by a cubic spline and
-      treated as zero beyond the last node.
+    * ``delta``: C(s) = c0 * delta(s), so the one-sided integral picks up c0 / 2.
+    * ``exponential``: C(s) = (c0 / 2 tau_c) exp(-s / tau_c), whose transform is
+      (c0 / 2) / (1 - i omega tau_c) (Breuer & Petruccione, The Theory of Open
+      Quantum Systems, 2002, ch. 3).  The delta kernel is its tau_c = 0 limit.
     """
 
     kind: str
-    c0: float | None = None
-    func: Callable[[float], float] | None = None
-    s_table: np.ndarray | None = None
-    c_table: np.ndarray | None = None
-    # transforms by frequency, shared by every gamma_operator on this kernel
-    _transforms: dict[float, complex] = field(default_factory=dict, init=False, repr=False)
+    c0: float = 1.0
+    tau_c: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind == "delta":
-            if self.c0 is None or not np.isfinite(self.c0) or self.c0 <= 0:
-                raise ValueError(f"delta kernel needs a positive area c0, got {self.c0!r}")
-        elif self.kind == "parametric":
-            if not callable(self.func):
-                raise ValueError("parametric kernel needs a callable C(s)")
-        elif self.kind == "tabulated":
-            s = np.asarray(self.s_table, dtype=float)
-            c = np.asarray(self.c_table, dtype=float)
-            if s.ndim != 1 or s.shape != c.shape or s.size < 4:
-                raise ValueError("tabulated kernel needs matching 1-d tables with >= 4 nodes")
-            if s[0] != 0.0 or np.any(np.diff(s) <= 0.0):
-                raise ValueError("tabulated s values must start at 0 and increase strictly")
-            if not (np.all(np.isfinite(s)) and np.all(np.isfinite(c))):
-                raise ValueError("tabulated kernel values must be finite")
-            self.s_table, self.c_table = s, c
-            self._spline = CubicSpline(s, c)
+            if self.tau_c != 0.0:
+                raise ValueError(f"a delta kernel has tau_c = 0, got {self.tau_c!r}")
+        elif self.kind == "exponential":
+            if not (np.isfinite(self.tau_c) and self.tau_c > 0.0):
+                raise ValueError(f"tau_c must be finite and > 0, got {self.tau_c!r}")
         else:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if not (np.isfinite(self.c0) and self.c0 > 0.0):
+            raise ValueError(f"bath weight c0 must be finite and > 0, got {self.c0!r}")
 
     @classmethod
     def delta(cls, c0: float) -> "CorrelationKernel":
         return cls(kind="delta", c0=c0)
 
     @classmethod
-    def parametric(cls, func: Callable[[float], float]) -> "CorrelationKernel":
-        return cls(kind="parametric", func=func)
-
-    @classmethod
-    def tabulated(cls, s: np.ndarray, c: np.ndarray) -> "CorrelationKernel":
-        return cls(kind="tabulated", s_table=s, c_table=c)
-
-    @classmethod
     def exponential(cls, tau_c: float, c0: float = 1.0) -> "CorrelationKernel":
-        """C(s) = (c0 / 2 tau_c) exp(-s / tau_c): even extension has area c0."""
-        if not (np.isfinite(tau_c) and tau_c > 0.0):
-            raise ValueError(f"tau_c must be positive, got {tau_c!r}")
-        amp = 0.5 * c0 / tau_c
-        return cls(kind="parametric", func=lambda s: amp * np.exp(-s / tau_c), c0=c0)
+        return cls(kind="exponential", c0=c0, tau_c=tau_c)
 
-    def _quad(self, func, upper, weight, omega):
-        out = integrate.quad(
-            func, 0.0, upper, weight=weight, wvar=omega,
-            epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=400, full_output=1,
-        )
-        if len(out) > 3:
-            raise QuadratureError(
-                f"transform at omega={omega:g} ({weight} part): {out[3]}"
-            )
-        value, abserr = out[0], out[1]
-        if not np.isfinite(value) or abserr > 1e-7 * max(1.0, abs(value)):
-            raise QuadratureError(
-                f"transform at omega={omega:g} ({weight} part): "
-                f"estimated error {abserr:.2e} too large"
-            )
-        return value
-
-    def transform(self, omega: float) -> complex:
-        """One-sided transform int_0^inf C(s) exp(i omega s) ds."""
-        if self.kind == "delta":
-            return complex(0.5 * self.c0)
-        if self.kind == "parametric":
-            func, upper = self.func, np.inf
-        else:
-            func, upper = self._spline, float(self.s_table[-1])
-        re = self._quad(func, upper, "cos", omega)
-        im = self._quad(func, upper, "sin", omega)
-        return complex(re, im)
+    def transform(self, omega):
+        """One-sided transform int_0^inf C(s) exp(i omega s) ds, elementwise in omega."""
+        # tau_c = 0 for a delta kernel, so this is exactly c0 / 2 there
+        return (0.5 * self.c0) / (1.0 - 1j * self.tau_c * np.asarray(omega, dtype=float))
 
 
 def gamma_operator(kernel: CorrelationKernel, spectral: Spectral, coupling: np.ndarray) -> np.ndarray:
@@ -174,9 +119,7 @@ def gamma_operator(kernel: CorrelationKernel, spectral: Spectral, coupling: np.n
     In the eigenbasis the integral is elementwise:
     G_ab = V'_ab * Chat(E_b - E_a) with Chat the one-sided transform.  A
     delta kernel therefore gives (c0 / 2) V' exactly.  Real C(s) makes G
-    Hermitian, since Chat(-omega) = conj(Chat(omega)).  Transforms are
-    cached on the kernel, so operators for further couplings on the same
-    spectrum reuse them.
+    Hermitian, since Chat(-omega) = conj(Chat(omega)).
     """
     coupling = np.asarray(coupling, dtype=complex)
     n = spectral.eigvals.shape[0]
@@ -188,25 +131,9 @@ def gamma_operator(kernel: CorrelationKernel, spectral: Spectral, coupling: np.n
     if kernel.kind == "delta":
         return (0.5 * kernel.c0) * coupling
 
-    q = spectral.eigvecs
-    vt = coupling if q is None else q.conj().T @ coupling @ q
-    e = spectral.eigvals
-    chat = np.empty((n, n), dtype=complex)
-    cache = kernel._transforms
-    for a in range(n):
-        for b in range(n):
-            w = float(e[b] - e[a])
-            if w in cache:
-                val = cache[w]
-            elif -w in cache:
-                val = cache[-w].conjugate()
-                cache[w] = val
-            else:
-                val = kernel.transform(w)
-                cache[w] = val
-            chat[a, b] = val
-    gt = vt * chat
-    return gt if q is None else q @ gt @ q.conj().T
+    q, e = spectral.eigvecs, spectral.eigvals
+    chat = kernel.transform(e[None, :] - e[:, None])
+    return q @ ((q.conj().T @ coupling @ q) * chat) @ q.conj().T
 
 
 @dataclass(eq=False)
@@ -337,16 +264,11 @@ def _propagate_stepper(
     grid: TimeGrid,
     rtol: float,
     atol: float,
-    inhomogeneity: Callable[[float], np.ndarray] | None,
 ) -> np.ndarray:
     d = gen.dim
 
-    if inhomogeneity is None:
-        def rhs(t, y):
-            return gen.apply(y.reshape(d, d)).reshape(-1)
-    else:
-        def rhs(t, y):
-            return (gen.apply(y.reshape(d, d)) + inhomogeneity(t)).reshape(-1)
+    def rhs(t, y):
+        return gen.apply(y.reshape(d, d)).reshape(-1)
 
     sol = integrate.solve_ivp(
         rhs,
@@ -369,7 +291,6 @@ def propagate(
     method: str = "superoperator",
     rtol: float = 1e-9,
     atol: float = 1e-12,
-    inhomogeneity: Callable[[float], np.ndarray] | None = None,
     max_superop_dim: int = _MAX_SUPEROP_DIM,
 ) -> Trajectory:
     """Integrate the master equation from a density matrix over a grid.
@@ -377,9 +298,7 @@ def propagate(
     ``superoperator`` builds one exact step matrix expm(L dt) from the dense
     generator L (dims up to 64) and applies it once per grid step; it needs
     no eigenbasis, so defective generators are handled too.  ``stepper`` is
-    adaptive RK45.  An ``inhomogeneity`` term (callable t -> matrix added to
-    dX/dt, e.g. a non-RMT bath feeding back) is only supported by the
-    stepper.
+    adaptive RK45.
     """
     matrix = rho0.matrix if isinstance(rho0, QuasiDensity) else np.asarray(rho0, dtype=complex)
     if matrix.shape != (generator.dim, generator.dim):
@@ -389,8 +308,6 @@ def propagate(
     check_initial_state(matrix)
 
     if method == "superoperator":
-        if inhomogeneity is not None:
-            raise ValueError("inhomogeneity requires method='stepper'")
         if generator.dim > max_superop_dim:
             raise ValueError(
                 f"superoperator method is limited to dim <= {max_superop_dim} "
@@ -398,7 +315,7 @@ def propagate(
             )
         states = _propagate_superoperator(generator, matrix, grid)
     elif method == "stepper":
-        states = _propagate_stepper(generator, matrix, grid, rtol, atol, inhomogeneity)
+        states = _propagate_stepper(generator, matrix, grid, rtol, atol)
     else:
         raise ValueError(f"unknown method {method!r}, expected 'superoperator' or 'stepper'")
     return Trajectory(grid=grid, states=states)

@@ -3,6 +3,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,30 +409,18 @@ class TestGeneral:
         assert manifest["reduction_rate"] == pytest.approx(0.36)
         assert (out / "f_rmt_reference.csv").is_file()
 
-    def test_bath_transforms_shared_across_draws(self, tmp_path, monkeypatch):
-        from echo_gfa.master import CorrelationKernel
-
-        omegas = []
-        transform = CorrelationKernel.transform
-
-        def counting(self, omega):
-            omegas.append(omega)
-            return transform(self, omega)
-
-        monkeypatch.setattr(CorrelationKernel, "transform", counting)
-        calls = []
-        for n_draws in (1, 3):
-            omegas.clear()
-            cfg = write_general_config(
-                tmp_path / f"g{n_draws}.json", n_draws=n_draws,
-                kernel={"kind": "exponential", "tau_c": 0.5, "c0": 1.0},
-            )
-            out = tmp_path / f"out{n_draws}"
-            assert main(["general", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-            # one quadrature per distinct |omega| over both spectra
-            assert len(omegas) == len({abs(w) for w in omegas})
-            calls.append(len(omegas))
-        assert calls[0] == calls[1] > 1
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            {"kind": "delta", "c0": 0.0},
+            {"kind": "exponential", "tau_c": 0.5, "c0": -1.0},
+            {"kind": "exponential", "tau_c": 0.0},
+            {"kind": "tabulated"},
+        ],
+    )
+    def test_bad_kernel_is_config_error(self, tmp_path, kernel):
+        cfg = write_general_config(tmp_path / "g.json", kernel=kernel)
+        assert main(["validate-config", "--config", str(cfg)]) == EXIT_CONFIG
 
     def test_threads_note_goes_to_stderr(self, tmp_path, capsys):
         cfg = write_general_config(tmp_path / "g.json", n_draws=2)
@@ -496,9 +487,21 @@ class TestValidateAndErrors:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_import_skips_scipy_interpolate(self):
+        # every command pays for what importing the CLI pulls in
+        import echo_gfa
+
+        env = dict(os.environ)
+        src = str(Path(echo_gfa.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, echo_gfa.cli; print('scipy.interpolate' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "False"
+
     def test_console_script_installed(self):
         import shutil
-        import subprocess
 
         exe = shutil.which("echo-gfa")
         assert exe is not None

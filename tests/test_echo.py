@@ -27,11 +27,11 @@ def make_realization(dim=8, beta=1, seed=42, index=0):
 
 class TestPropagator:
     def test_zero_hamiltonian_is_identity(self):
-        u = propagator(Spectral.diagonal(np.zeros(5)), t=3.7)
+        u = propagator(Spectral(np.zeros(5), np.eye(5)), t=3.7)
         assert np.array_equal(u, np.eye(5, dtype=complex))
 
     def test_diagonal_phases(self):
-        u = propagator(Spectral.diagonal(np.array([1.0, 2.0])), t=np.pi)
+        u = propagator(Spectral(np.array([1.0, 2.0]), np.eye(2)), t=np.pi)
         assert np.allclose(u, np.diag([-1.0, 1.0]), atol=1e-12)
 
     def test_unitary_for_dense_hamiltonian(self):
@@ -51,7 +51,7 @@ class TestPropagator:
 
     def test_rejects_non_finite_levels(self):
         with pytest.raises(ValueError):
-            Spectral.diagonal(np.array([0.0, np.inf]))
+            Spectral(np.array([0.0, np.inf]), np.eye(2))
 
 
 class TestEchoOperator:

@@ -48,6 +48,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(initial_state=np.eye(3) / 3)  # dim mismatch
 
+    def test_rejects_rate_too_large_for_grid(self):
+        # gamma * dt / 2 = 1 at dt = 0.05: the trapezoid update is singular
+        with pytest.raises(ValueError, match="gamma = 40"):
+            small_config(gamma_list=(0.05, 40.0))
+        small_config(gamma_list=(0.05, 39.9))
+
     def test_auto_method_resolution(self):
         assert small_config(dim=8).resolved_method() == "superoperator"
         assert small_config(dim=50).resolved_method() == "volterra-per-realization"

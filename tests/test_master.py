@@ -8,7 +8,6 @@ from echo_gfa.curves import TimeGrid
 from echo_gfa.echo import EchoSetup, Spectral, fidelity_curve, kernel_curve
 from echo_gfa.master import (
     CorrelationKernel,
-    QuadratureError,
     QuasiDensity,
     gamma_operator,
     general_generator,
@@ -56,9 +55,10 @@ class TestCorrelationKernel:
             assert k.transform(w) == 0.9 + 0.0j
 
     def test_parametric_exponential_closed_form(self):
-        # int_0^inf e^{-s/tau} e^{i w s} ds = tau / (1 - i w tau)
+        # int_0^inf e^{-s/tau} e^{i w s} ds = tau / (1 - i w tau); C(s) = e^{-s/tau}
+        # is the exponential kernel of weight c0 = 2 tau
         tau = 0.6
-        k = CorrelationKernel.parametric(lambda s: np.exp(-s / tau))
+        k = CorrelationKernel.exponential(tau, c0=2 * tau)
         for w in (0.0, 0.31, -0.31, 2.5, -7.0):
             assert abs(k.transform(w) - tau / (1.0 - 1j * w * tau)) < 1e-9
 
@@ -74,33 +74,37 @@ class TestCorrelationKernel:
         w = 1.3
         assert abs(k.transform(-w) - np.conj(k.transform(w))) < 1e-12
 
-    def test_tabulated_matches_parametric(self):
-        tau = 0.7
-        s = np.linspace(0.0, 14.0, 2801)
-        kt = CorrelationKernel.tabulated(s, np.exp(-s / tau))
-        kp = CorrelationKernel.parametric(lambda x: np.exp(-x / tau))
-        for w in (0.0, 0.9, -2.2):
-            assert abs(kt.transform(w) - kp.transform(w)) < 1e-6
+    def test_transform_is_elementwise(self):
+        omega = np.array([[0.0, -1.3], [1.3, 4.0]])
+        for k in (CorrelationKernel.delta(0.6), CorrelationKernel.exponential(0.8, c0=0.6)):
+            got = k.transform(omega)
+            assert got.shape == omega.shape
+            assert np.array_equal(got, [[k.transform(w) for w in row] for row in omega])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CorrelationKernel.delta(c0=-1.0)
+            CorrelationKernel(kind="tabulated")
         with pytest.raises(ValueError):
-            CorrelationKernel.tabulated(np.array([1.0, 0.5]), np.array([1.0, 0.5]))
-        with pytest.raises(ValueError):
-            CorrelationKernel.tabulated(np.array([0.0, 1.0]), np.array([1.0]))
+            CorrelationKernel(kind="delta", tau_c=0.5)
 
-    def test_divergent_integral_raises(self):
-        k = CorrelationKernel.parametric(lambda s: 1.0)
-        with pytest.raises(QuadratureError):
-            k.transform(0.0)
+    @pytest.mark.parametrize("c0", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_bad_weight(self, c0):
+        with pytest.raises(ValueError, match="c0"):
+            CorrelationKernel.delta(c0)
+        with pytest.raises(ValueError, match="c0"):
+            CorrelationKernel.exponential(0.5, c0=c0)
+
+    @pytest.mark.parametrize("tau_c", [0.0, -1.0, np.nan])
+    def test_rejects_bad_correlation_time(self, tau_c):
+        with pytest.raises(ValueError, match="tau_c"):
+            CorrelationKernel.exponential(tau_c)
 
 
 class TestGammaOperator:
     def test_delta_kernel_exact(self):
         rng = np.random.default_rng(0)
         v = random_hermitian(5, rng)
-        spectral = Spectral.diagonal(np.arange(5.0))
+        spectral = Spectral(np.arange(5.0), np.eye(5))
         out = gamma_operator(CorrelationKernel.delta(2.0), spectral, v)
         assert np.array_equal(out, v)  # c0/2 = 1
 
@@ -111,9 +115,7 @@ class TestGammaOperator:
         h = random_hermitian(4, rng)
         v = random_hermitian(4, rng)
         spectral = Spectral.from_matrix(h)
-        got = gamma_operator(
-            CorrelationKernel.parametric(lambda s: np.exp(-s / tau)), spectral, v
-        )
+        got = gamma_operator(CorrelationKernel.exponential(tau, c0=2 * tau), spectral, v)
         e, q = np.linalg.eigh(h)
         vt = q.conj().T @ v @ q
         chat = tau / (1.0 + 1j * np.subtract.outer(e, e) * tau)
@@ -126,9 +128,7 @@ class TestGammaOperator:
         rng = np.random.default_rng(2)
         v = random_hermitian(4, rng)
         got = gamma_operator(
-            CorrelationKernel.parametric(lambda s: np.exp(-s / tau)),
-            Spectral.diagonal(e),
-            v,
+            CorrelationKernel.exponential(tau, c0=2 * tau), Spectral(e, np.eye(4)), v
         )
         expected = v * (tau / (1.0 + 1j * np.subtract.outer(e, e) * tau))
         assert np.max(np.abs(got - expected)) < 1e-9
@@ -145,13 +145,13 @@ class TestGammaOperator:
     def test_zero_coupling_gives_zero(self):
         g = gamma_operator(
             CorrelationKernel.exponential(tau_c=0.4),
-            Spectral.diagonal(np.arange(3.0)),
+            Spectral(np.arange(3.0), np.eye(3)),
             np.zeros((3, 3)),
         )
         assert np.all(g == 0.0)
 
     def test_rejects_bad_coupling(self):
-        spectral = Spectral.diagonal(np.arange(3.0))
+        spectral = Spectral(np.arange(3.0), np.eye(3))
         k = CorrelationKernel.delta(1.0)
         with pytest.raises(ValueError):
             gamma_operator(k, spectral, np.triu(np.ones((3, 3)), 1))
@@ -292,30 +292,6 @@ class TestPropagate:
         norms = np.linalg.norm(states.reshape(len(grid), -1), axis=1)
         expected = norms[0] * np.exp(-rate * grid.times)
         assert np.max(np.abs(norms - expected)) < 1e-8
-
-    def test_inhomogeneity_hook(self):
-        # zero generator plus constant source integrates to rho0 + t B
-        dim = 3
-        gen = rmt_generator(np.zeros((dim, dim)), np.zeros((dim, dim)), rate=0.0)
-        b = np.diag([1.0, -1.0, 0.0]).astype(complex) * 0.05
-        grid = TimeGrid(dt=0.1, n_steps=20)
-        rho0 = QuasiDensity.maximally_mixed(dim)
-        traj = propagate(
-            gen, rho0, grid, method="stepper", inhomogeneity=lambda t: b,
-            rtol=1e-10, atol=1e-12,
-        )
-        expected = rho0.matrix[None] + grid.times[:, None, None] * b[None]
-        assert np.max(np.abs(traj.states - expected)) < 1e-8
-
-    def test_inhomogeneity_needs_stepper(self):
-        gen = rmt_generator(np.zeros((2, 2)), np.zeros((2, 2)), rate=0.0)
-        with pytest.raises(ValueError):
-            propagate(
-                gen,
-                QuasiDensity.maximally_mixed(2),
-                TimeGrid(0.1, 5),
-                inhomogeneity=lambda t: np.zeros((2, 2)),
-            )
 
     @pytest.mark.parametrize("form", ["rmt", "general"])
     def test_stepped_states_match_expm_over_long_grid(self, form):
