@@ -15,13 +15,13 @@ from .echo import (
     EchoOperator,
     EchoSetup,
     Spectral,
-    echo_operator,
     fidelity_curve,
     kernel_curve,
     propagator,
 )
 from .harness import (
     ExperimentConfig,
+    GeneralConfig,
     RunReport,
     batch_statistics,
     difference_curve,
@@ -64,11 +64,11 @@ __all__ = [
     "EchoOperator",
     "EchoSetup",
     "Spectral",
-    "echo_operator",
     "fidelity_curve",
     "kernel_curve",
     "propagator",
     "ExperimentConfig",
+    "GeneralConfig",
     "RunReport",
     "batch_statistics",
     "difference_curve",

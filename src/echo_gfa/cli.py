@@ -38,25 +38,16 @@ import numpy as np
 
 from . import __version__
 from .curves import FidelityCurve, TimeGrid
-from .echo import check_initial_state
 from .harness import (
-    SIM_METHODS,
     ExperimentConfig,
+    GeneralConfig,
     batch_statistics,
     difference_curve,
     run_ensemble,
     theory_pipeline,
 )
-from .master import (
-    CorrelationKernel,
-    PropagationError,
-    general_generator,
-    propagate,
-    rmt_generator,
-    trace_curve,
-)
+from .master import CorrelationKernel, general_generator, propagate, rmt_generator, trace_curve
 from .rmt import EnsembleConfig, build_realization, sample_gaussian, stream
-from .volterra import StepSizeError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,122 +112,115 @@ def _no_unknown(data: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
-def _as_int(value, key: str, minimum: int):
+def _as_int(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"'{key}' must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"'{key}' must be >= {minimum}, got {value}")
     return value
 
 
-def _as_float(value, key: str):
+def _as_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{key}' must be a number, got {value!r}")
-    value = float(value)
-    if not np.isfinite(value):
-        raise ConfigError(f"'{key}' must be finite, got {value}")
-    return value
+    return float(value)
 
 
-def _parse_grid(data, where: str) -> TimeGrid:
+def _build(cls, where: str = "", **kwargs):
+    """Construct a checked dataclass; its ValueError becomes a ConfigError."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}{exc}") from exc
+
+
+def _parse_grid(data) -> TimeGrid:
     if not isinstance(data, dict):
-        raise ConfigError(f"{where}: 'grid' must be an object with dt and n_steps")
-    _no_unknown(data, ("dt", "n_steps"), f"{where}.grid")
-    dt = _as_float(_require(data, "dt", f"{where}.grid"), "dt")
-    if dt <= 0:
-        raise ConfigError(f"'dt' must be > 0, got {dt}")
-    n_steps = _as_int(_require(data, "n_steps", f"{where}.grid"), "n_steps", 1)
-    return TimeGrid(dt=dt, n_steps=n_steps)
+        raise ConfigError("config: 'grid' must be an object with dt and n_steps")
+    _no_unknown(data, ("dt", "n_steps"), "config.grid")
+    dt = _as_float(_require(data, "dt", "config.grid"), "dt")
+    n_steps = _as_int(_require(data, "n_steps", "config.grid"), "n_steps")
+    return _build(TimeGrid, dt=dt, n_steps=n_steps)
+
+
+def _load_matrix(value, key: str, base: Path) -> np.ndarray:
+    """A complex matrix from a .npy path, relative paths anchored at ``base``."""
+    if not isinstance(value, str):
+        raise ConfigError(f"'{key}' must be a .npy file path, got {value!r}")
+    path = Path(value)
+    if not path.is_absolute():
+        path = base / path
+    if not path.is_file():
+        raise ConfigError(f"{key} not found: {path}")
+    try:
+        return np.asarray(np.load(path), dtype=complex)
+    except Exception as exc:
+        raise ConfigError(f"cannot load {key} {path}: {exc}") from exc
 
 
 def _parse_initial_state(value, base: Path):
     if value == "maximally-mixed":
         return None
     if isinstance(value, str) and value.endswith(".npy"):
-        path = Path(value)
-        if not path.is_absolute():
-            path = base / path
-        if not path.is_file():
-            raise ConfigError(f"initial_state file not found: {path}")
-        try:
-            state = np.load(path)
-        except Exception as exc:
-            raise ConfigError(f"cannot load initial_state {path}: {exc}") from exc
-        try:
-            return check_initial_state(state)
-        except ValueError as exc:
-            raise ConfigError(f"initial_state {path}: {exc}") from exc
+        return _load_matrix(value, "initial_state", base)
     raise ConfigError(
         f"initial_state must be 'maximally-mixed' or a .npy file path, got {value!r}"
     )
 
 
-_ENSEMBLE_KEYS = (
-    "dim", "beta", "master_seed", "lambda", "gamma_list", "grid",
-    "n_run", "n_batch", "method", "initial_state",
-)
+_SHARED_KEYS = ("dim", "beta", "master_seed", "lambda", "grid", "initial_state")
+
+
+def _read_shared(data: dict, base: Path, seed_override):
+    """Read the keys both config kinds share, checking JSON types only.
+
+    Values are checked by the config dataclass they are passed to.  Returns
+    (its keyword arguments, the resolved dict).
+    """
+    dim = _as_int(_require(data, "dim", "config"), "dim")
+    beta = _as_int(_require(data, "beta", "config"), "beta")
+    master_seed = _as_int(_require(data, "master_seed", "config"), "master_seed")
+    if seed_override is not None:
+        master_seed = _as_int(seed_override, "seed")
+    lam = _as_float(_require(data, "lambda", "config"), "lambda")
+    grid = _parse_grid(_require(data, "grid", "config"))
+    state_token = data.get("initial_state", "maximally-mixed")
+    kwargs = {
+        "dim": dim, "beta": beta, "master_seed": master_seed, "lam": lam, "grid": grid,
+        "initial_state": _parse_initial_state(state_token, base),
+    }
+    resolved = {
+        "dim": dim, "beta": beta, "master_seed": master_seed, "lambda": lam,
+        "grid": {"dt": grid.dt, "n_steps": grid.n_steps}, "initial_state": state_token,
+    }
+    return kwargs, resolved
+
+
+_ENSEMBLE_KEYS = _SHARED_KEYS + ("gamma_list", "n_run", "n_batch", "method")
+_GENERAL_KEYS = _SHARED_KEYS + ("coupling_strength", "kernel", "n_draws", "method", "coupling_file")
 
 
 def parse_ensemble_config(data: dict, base: Path, seed_override=None):
-    """Validate a simulate/theory config; returns (ExperimentConfig, resolved dict)."""
+    """Read a simulate/theory config; returns (ExperimentConfig, resolved dict)."""
     _no_unknown(data, _ENSEMBLE_KEYS, "config")
-    dim = _as_int(_require(data, "dim", "config"), "dim", 2)
-    beta = _as_int(_require(data, "beta", "config"), "beta", 1)
-    if beta not in (1, 2):
-        raise ConfigError(f"'beta' must be 1 or 2, got {beta}")
-    master_seed = _as_int(_require(data, "master_seed", "config"), "master_seed", 0)
-    if seed_override is not None:
-        master_seed = _as_int(seed_override, "seed", 0)
-    lam = _as_float(_require(data, "lambda", "config"), "lambda")
+    shared, resolved = _read_shared(data, base, seed_override)
     raw_gammas = _require(data, "gamma_list", "config")
     if not isinstance(raw_gammas, list) or not raw_gammas:
         raise ConfigError("'gamma_list' must be a non-empty list of rates")
-    gammas = tuple(_as_float(g, "gamma_list entry") for g in raw_gammas)
-    grid = _parse_grid(_require(data, "grid", "config"), "config")
-    n_run = _as_int(_require(data, "n_run", "config"), "n_run", 1)
-    n_batch = _as_int(data.get("n_batch", 3), "n_batch", 1)
+    gammas = [_as_float(g, "gamma_list entry") for g in raw_gammas]
+    n_run = _as_int(_require(data, "n_run", "config"), "n_run")
+    n_batch = _as_int(data.get("n_batch", 3), "n_batch")
     method = data.get("method", "auto")
-    if method not in SIM_METHODS + ("auto",):
-        raise ConfigError(f"'method' must be one of {SIM_METHODS + ('auto',)}, got {method!r}")
-    state_token = data.get("initial_state", "maximally-mixed")
-    initial_state = _parse_initial_state(state_token, base)
-
-    try:
-        config = ExperimentConfig(
-            dim=dim, beta=beta, master_seed=master_seed, lam=lam,
-            gamma_list=gammas, grid=grid, n_run=n_run, n_batch=n_batch,
-            method=method, initial_state=initial_state,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    resolved = {
-        "dim": dim, "beta": beta, "master_seed": master_seed, "lambda": lam,
-        "gamma_list": list(gammas),
-        "grid": {"dt": grid.dt, "n_steps": grid.n_steps},
-        "n_run": n_run, "n_batch": n_batch, "method": method,
-        "initial_state": state_token,
-    }
+    config = _build(
+        ExperimentConfig, **shared, gamma_list=tuple(gammas),
+        n_run=n_run, n_batch=n_batch, method=method,
+    )
+    resolved.update(gamma_list=gammas, n_run=n_run, n_batch=n_batch, method=method)
     return config, resolved
 
 
-_GENERAL_KEYS = (
-    "dim", "beta", "master_seed", "lambda", "coupling_strength", "kernel",
-    "grid", "n_draws", "method", "initial_state", "coupling_file",
-)
-
-
 def parse_general_config(data: dict, base: Path, seed_override=None):
-    """Validate a general-form config; returns (dict of pieces, resolved dict)."""
+    """Read a general-form config; returns (GeneralConfig, resolved dict)."""
     _no_unknown(data, _GENERAL_KEYS, "config")
-    dim = _as_int(_require(data, "dim", "config"), "dim", 2)
-    beta = _as_int(_require(data, "beta", "config"), "beta", 1)
-    if beta not in (1, 2):
-        raise ConfigError(f"'beta' must be 1 or 2, got {beta}")
-    master_seed = _as_int(_require(data, "master_seed", "config"), "master_seed", 0)
-    if seed_override is not None:
-        master_seed = _as_int(seed_override, "seed", 0)
-    lam = _as_float(_require(data, "lambda", "config"), "lambda")
+    shared, resolved = _read_shared(data, base, seed_override)
     strength = _as_float(_require(data, "coupling_strength", "config"), "coupling_strength")
 
     kdata = _require(data, "kernel", "config")
@@ -253,52 +237,21 @@ def parse_general_config(data: dict, base: Path, seed_override=None):
     else:
         raise ConfigError(f"'kernel.kind' must be 'delta' or 'exponential', got {kind!r}")
     resolved_kernel["c0"] = _as_float(kdata.get("c0", 1.0), "kernel.c0")
-    try:
-        kernel = CorrelationKernel(**resolved_kernel)
-    except ValueError as exc:
-        raise ConfigError(f"config.kernel: {exc}") from exc
+    kernel = _build(CorrelationKernel, "config.kernel: ", **resolved_kernel)
 
-    grid = _parse_grid(_require(data, "grid", "config"), "config")
-    n_draws = _as_int(data.get("n_draws", 1), "n_draws", 1)
+    n_draws = _as_int(data.get("n_draws", 1), "n_draws")
     method = data.get("method", "superoperator")
-    if method not in ("superoperator", "stepper"):
-        raise ConfigError(f"'method' must be 'superoperator' or 'stepper', got {method!r}")
-    state_token = data.get("initial_state", "maximally-mixed")
-    initial_state = _parse_initial_state(state_token, base)
-
-    coupling = None
     coupling_file = data.get("coupling_file")
-    if coupling_file is not None:
-        path = Path(coupling_file)
-        if not path.is_absolute():
-            path = base / path
-        if not path.is_file():
-            raise ConfigError(f"coupling_file not found: {path}")
-        try:
-            coupling = np.asarray(np.load(path), dtype=complex)
-        except Exception as exc:
-            raise ConfigError(f"cannot load coupling_file {path}: {exc}") from exc
-        if coupling.shape != (dim, dim):
-            raise ConfigError(
-                f"coupling_file matrix shape {coupling.shape} does not match dim {dim}"
-            )
-        if n_draws != 1:
-            raise ConfigError("a fixed coupling_file requires n_draws = 1")
-
-    pieces = {
-        "dim": dim, "beta": beta, "master_seed": master_seed, "lam": lam,
-        "strength": strength, "kernel": kernel,
-        "grid": grid, "n_draws": n_draws, "method": method,
-        "initial_state": initial_state, "coupling": coupling,
-    }
-    resolved = {
-        "dim": dim, "beta": beta, "master_seed": master_seed, "lambda": lam,
-        "coupling_strength": strength, "kernel": resolved_kernel,
-        "grid": {"dt": grid.dt, "n_steps": grid.n_steps},
-        "n_draws": n_draws, "method": method, "initial_state": state_token,
-        "coupling_file": coupling_file,
-    }
-    return pieces, resolved
+    coupling = None if coupling_file is None else _load_matrix(coupling_file, "coupling_file", base)
+    config = _build(
+        GeneralConfig, **shared, strength=strength, kernel=kernel,
+        n_draws=n_draws, method=method, coupling=coupling,
+    )
+    resolved.update(
+        coupling_strength=strength, kernel=resolved_kernel, n_draws=n_draws,
+        method=method, coupling_file=coupling_file,
+    )
+    return config, resolved
 
 
 def config_kind(data: dict) -> str:
@@ -428,20 +381,35 @@ def write_manifest(out_dir: Path, command: str, fmt: str, resolved: dict, files:
 # subcommands
 
 def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
+    threads, source = args.threads, "--threads"
+    if threads is None:
+        source = THREADS_ENV
+        env = os.environ.get(THREADS_ENV)
+        if env is None:
+            return 1
         try:
             threads = int(env)
         except ValueError:
             raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-        if threads < 1:
-            raise ConfigError(f"{THREADS_ENV} must be >= 1, got {threads}")
-        return threads
-    return 1
+    if threads < 1:
+        raise ConfigError(f"{source} must be >= 1, got {threads}")
+    return threads
+
+
+def _parse(args, kind: str | None = None):
+    """Load and parse ``--config``; returns (kind, config, resolved dict).
+
+    A run command passes the ``kind`` of config it needs.
+    """
+    data, base = load_config(args.config)
+    found = config_kind(data)
+    if kind not in (None, found):
+        raise ConfigError(
+            f"{args.command} needs a config of kind {kind!r}, got {found!r} "
+            "(a general config has 'coupling_strength'/'kernel' keys)"
+        )
+    parse = parse_general_config if found == "general" else parse_ensemble_config
+    return (found, *parse(data, base, args.seed))
 
 
 def _prepare_out(args) -> Path:
@@ -455,10 +423,7 @@ def _alpha_map(config: ExperimentConfig) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    data, base = load_config(args.config)
-    if config_kind(data) != "ensemble":
-        raise ConfigError("simulate needs an ensemble config (no 'kernel'/'coupling_strength' keys)")
-    config, resolved = parse_ensemble_config(data, base, args.seed)
+    _, config, resolved = _parse(args, "ensemble")
     threads = _resolve_threads(args)
     out = _prepare_out(args)
 
@@ -482,17 +447,14 @@ def cmd_simulate(args) -> int:
 
     n_total = config.n_batch * config.n_run
     print(
-        f"simulate: {n_total} realizations (dim={config.dim}, method={report.metadata['method']}, "
+        f"simulate: {n_total} realizations (dim={config.dim}, method={report.method}, "
         f"threads={threads}) in {elapsed:.1f} s -> {out} ({len(files) + 1} files)"
     )
     return EXIT_OK
 
 
 def cmd_theory(args) -> int:
-    data, base = load_config(args.config)
-    if config_kind(data) != "ensemble":
-        raise ConfigError("theory needs an ensemble config (no 'kernel'/'coupling_strength' keys)")
-    config, resolved = parse_ensemble_config(data, base, args.seed)
+    _, config, resolved = _parse(args, "ensemble")
     threads = _resolve_threads(args)
     out = _prepare_out(args)
     fmt = args.format
@@ -540,61 +502,52 @@ def cmd_theory(args) -> int:
 
 
 def cmd_general(args) -> int:
-    data, base = load_config(args.config)
-    if config_kind(data) != "general":
-        raise ConfigError("general needs a config with 'coupling_strength' and 'kernel'")
-    pieces, resolved = parse_general_config(data, base, args.seed)
+    _, config, resolved = _parse(args, "general")
     if _resolve_threads(args) > 1:
         # --threads is accepted for interface symmetry only
         print("general: coupling draws run serially; --threads is ignored", file=sys.stderr)
     out = _prepare_out(args)
 
-    dim, beta = pieces["dim"], pieces["beta"]
-    grid: TimeGrid = pieces["grid"]
-    env = build_realization(EnsembleConfig(dim, beta, pieces["master_seed"]))
+    dim, beta, grid = config.dim, config.beta, config.grid
+    env = build_realization(EnsembleConfig(dim, beta, config.master_seed))
     h_zero = np.diag(env.env_levels).astype(complex)
-    h_lam = h_zero + pieces["lam"] * env.perturbation
-    rho0 = pieces["initial_state"]
+    h_lam = h_zero + config.lam * env.perturbation
+    rho0 = config.initial_state
     if rho0 is None:
         rho0 = np.eye(dim, dtype=complex) / dim
 
     t0 = time.perf_counter()
-    traces = np.empty((pieces["n_draws"], len(grid)), dtype=complex)
-    for draw in range(pieces["n_draws"]):
-        if pieces["coupling"] is not None:
-            coupling = pieces["coupling"]
+    traces = np.empty((config.n_draws, len(grid)), dtype=complex)
+    for draw in range(config.n_draws):
+        if config.coupling is not None:
+            coupling = config.coupling
         else:
-            draw_cfg = EnsembleConfig(dim, beta, pieces["master_seed"], draw)
+            draw_cfg = EnsembleConfig(dim, beta, config.master_seed, draw)
             coupling = sample_gaussian(dim, beta, stream(draw_cfg, "coupling"))
-        gen = general_generator(h_lam, h_zero, coupling, pieces["kernel"], pieces["strength"])
-        traj = propagate(gen, rho0, grid, method=pieces["method"])
+        gen = general_generator(h_lam, h_zero, coupling, config.kernel, config.strength)
+        traj = propagate(gen, rho0, grid, method=config.method)
         traces[draw] = trace_curve(traj).values
 
     mean, stderr_re, stderr_im = batch_statistics(traces)
     f_general = FidelityCurve(grid, mean, stderr_re=stderr_re, stderr_im=stderr_im)
 
     # reduced-equation reference; exact reduction rate for a delta kernel
-    rate = pieces["strength"] ** 2 * dim * pieces["kernel"].c0
+    rate = config.strength ** 2 * dim * config.kernel.c0
     ref_gen = rmt_generator(h_lam, h_zero, rate)
-    reference = trace_curve(propagate(ref_gen, rho0, grid, method=pieces["method"]))
+    reference = trace_curve(propagate(ref_gen, rho0, grid, method=config.method))
 
     files = write_curves(out, [("f_general", f_general), ("f_rmt_reference", reference)], args.format)
     write_manifest(out, "general", args.format, resolved, files, {"reduction_rate": rate})
     elapsed = time.perf_counter() - t0
     print(
-        f"general: {pieces['n_draws']} draw(s) (dim={dim}, method={pieces['method']}) "
+        f"general: {config.n_draws} draw(s) (dim={dim}, method={config.method}) "
         f"in {elapsed:.1f} s -> {out} ({len(files) + 1} files)"
     )
     return EXIT_OK
 
 
 def cmd_validate_config(args) -> int:
-    data, base = load_config(args.config)
-    kind = config_kind(data)
-    if kind == "ensemble":
-        _, resolved = parse_ensemble_config(data, base, args.seed)
-    else:
-        _, resolved = parse_general_config(data, base, args.seed)
+    kind, _, resolved = _parse(args)
     print(f"config OK ({kind}): " + json.dumps(resolved, sort_keys=True))
     return EXIT_OK
 
@@ -648,9 +601,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PropagationError, StepSizeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -24,6 +24,8 @@ class TimeGrid:
             raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
         if int(self.n_steps) != self.n_steps or self.n_steps < 1:
             raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
+        if not np.isfinite(self.t_max):
+            raise ValueError(f"grid end n_steps * dt = {self.n_steps} * {self.dt!r} is not finite")
 
     def __len__(self) -> int:
         return self.n_steps + 1

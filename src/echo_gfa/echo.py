@@ -84,8 +84,7 @@ class EchoSetup:
     initial_state: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam!r}")
+        # lam is checked by EchoOperator, which every curve builds
         if self.initial_state is not None:
             state = getattr(self.initial_state, "matrix", self.initial_state)
             self.initial_state = check_initial_state(state)
@@ -141,11 +140,6 @@ class EchoOperator:
         q = self.perturbed.eigvecs
         smat = (q.conj() * q).real / self.dim
         return self._curve(times, smat)
-
-
-def echo_operator(realization: Realization, lam: float, t: float) -> np.ndarray:
-    """Echo operator matrix at a single time."""
-    return EchoOperator(realization, lam)(t)
 
 
 def fidelity_curve(realization: Realization, setup: EchoSetup) -> FidelityCurve:

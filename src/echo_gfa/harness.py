@@ -21,23 +21,49 @@ batch-averaged inputs <f> and <tr M>/dim.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import volterra
 from .curves import FidelityCurve, TimeGrid, check_same_grid
 from .echo import EchoOperator, check_initial_state
-from .master import _MAX_SUPEROP_DIM, propagate, rmt_generator
+from .master import (
+    PROPAGATION_METHODS,
+    CorrelationKernel,
+    check_hermitian,
+    check_method,
+    propagate,
+    rmt_generator,
+)
 from .rmt import EnsembleConfig, build_realization
 
-SIM_METHODS = ("superoperator", "stepper", "volterra-per-realization")
+SIM_METHODS = PROPAGATION_METHODS + ("volterra-per-realization",)
 # realizations per worker task; fixed so chunking never affects results
 _CHUNK_REALIZATIONS = 32
+
+
+def _check_count(name: str, value) -> None:
+    if int(value) != value or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_shared(config) -> np.ndarray | None:
+    """Checks common to both config kinds; returns the checked initial state.
+
+    ``initial_state = None`` selects the maximally mixed state 1/dim.
+    """
+    # EnsembleConfig checks dim/beta/master_seed
+    EnsembleConfig(config.dim, config.beta, config.master_seed)
+    if not np.isfinite(config.lam):
+        raise ValueError(f"lam must be finite, got {config.lam!r}")
+    if config.initial_state is None:
+        return None
+    state = check_initial_state(config.initial_state)
+    if state.shape != (config.dim, config.dim):
+        raise ValueError(f"initial state shape {state.shape} does not match dim {config.dim}")
+    return state
 
 
 @dataclass(eq=False)
@@ -56,10 +82,7 @@ class ExperimentConfig:
     initial_state: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        # EnsembleConfig re-checks dim/beta/master_seed
-        EnsembleConfig(self.dim, self.beta, self.master_seed)
-        if not np.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam!r}")
+        self.initial_state = _check_shared(self)
         gammas = tuple(float(g) for g in self.gamma_list)
         if any(not np.isfinite(g) or g < 0.0 for g in gammas):
             raise ValueError(f"every gamma must be finite and >= 0, got {self.gamma_list!r}")
@@ -71,17 +94,12 @@ class ExperimentConfig:
                     f"gamma = {g:g} with dt = {self.grid.dt:g} violates gamma*dt/2 < 1; refine the grid"
                 )
         self.gamma_list = gammas
-        if int(self.n_run) != self.n_run or self.n_run < 1:
-            raise ValueError(f"n_run must be an integer >= 1, got {self.n_run!r}")
-        if int(self.n_batch) != self.n_batch or self.n_batch < 1:
-            raise ValueError(f"n_batch must be an integer >= 1, got {self.n_batch!r}")
+        _check_count("n_run", self.n_run)
+        _check_count("n_batch", self.n_batch)
         if self.method not in SIM_METHODS + ("auto",):
             raise ValueError(f"method must be one of {SIM_METHODS + ('auto',)}, got {self.method!r}")
-        if self.initial_state is not None:
-            state = check_initial_state(self.initial_state)
-            if state.shape != (self.dim, self.dim):
-                raise ValueError(f"initial state shape {state.shape} does not match dim {self.dim}")
-            self.initial_state = state
+        if self.resolved_method() != "volterra-per-realization":
+            check_method(self.resolved_method(), self.dim)
 
     def resolved_method(self) -> str:
         if self.method != "auto":
@@ -93,25 +111,41 @@ class ExperimentConfig:
         """Gamma / lam per rate; None when the echo is unperturbed."""
         return {g: (g / self.lam if self.lam != 0.0 else None) for g in self.gamma_list}
 
-    def digest(self) -> str:
-        """Stable hash of everything that determines the results."""
-        if self.initial_state is None:
-            state = "maximally-mixed"
-        else:
-            state = hashlib.sha256(
-                np.ascontiguousarray(self.initial_state).tobytes()
-            ).hexdigest()
-        payload = json.dumps(
-            {
-                "dim": self.dim, "beta": self.beta, "master_seed": self.master_seed,
-                "lam": self.lam, "gamma_list": list(self.gamma_list),
-                "dt": self.grid.dt, "n_steps": self.grid.n_steps,
-                "n_run": self.n_run, "n_batch": self.n_batch,
-                "method": self.resolved_method(), "initial_state": state,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+
+@dataclass(eq=False)
+class GeneralConfig:
+    """Full description of one Born-Markov run over coupling-matrix draws.
+
+    ``coupling = None`` draws a fresh Gaussian coupling per draw; a fixed
+    coupling needs ``n_draws = 1``.
+    """
+
+    dim: int
+    beta: int
+    master_seed: int
+    lam: float
+    strength: float
+    kernel: CorrelationKernel
+    grid: TimeGrid
+    n_draws: int = 1
+    method: str = "superoperator"
+    initial_state: np.ndarray | None = None
+    coupling: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        self.initial_state = _check_shared(self)
+        if not np.isfinite(self.strength):
+            raise ValueError(f"coupling strength must be finite, got {self.strength!r}")
+        _check_count("n_draws", self.n_draws)
+        check_method(self.method, self.dim)
+        if self.coupling is not None:
+            coupling = np.asarray(self.coupling, dtype=complex)
+            if coupling.shape != (self.dim, self.dim):
+                raise ValueError(f"coupling shape {coupling.shape} does not match dim {self.dim}")
+            check_hermitian("coupling", coupling)
+            if self.n_draws != 1:
+                raise ValueError("a fixed coupling requires n_draws = 1")
+            self.coupling = coupling
 
 
 @dataclass(eq=False)
@@ -119,6 +153,7 @@ class RunReport:
     """Everything a simulate run produces."""
 
     config: ExperimentConfig
+    method: str
     f_lambda: FidelityCurve
     kernel: FidelityCurve
     simulated: dict[float, FidelityCurve]
@@ -127,8 +162,6 @@ class RunReport:
     first_order: dict[float, FidelityCurve]
     sim_minus_f: dict[float, FidelityCurve]
     theory_minus_f: dict[float, FidelityCurve]
-    alpha: dict[float, float | None]
-    metadata: dict = field(default_factory=dict)
 
 
 def difference_curve(a: FidelityCurve, b: FidelityCurve) -> FidelityCurve:
@@ -173,18 +206,14 @@ def theory_pipeline(f: FidelityCurve, kernel: FidelityCurve, gammas):
     """Solve the integral equation for each Gamma on averaged inputs.
 
     Returns dicts {gamma: phi}, {gamma: exp(-Gamma t) phi} and
-    {gamma: first-order iterate}.  Solver errors are re-raised with the
-    offending Gamma named.
+    {gamma: first-order iterate}.  A step-size error names the offending
+    Gamma.
     """
     phi_by_gamma: dict[float, FidelityCurve] = {}
     theory: dict[float, FidelityCurve] = {}
     first: dict[float, FidelityCurve] = {}
     for g in gammas:
-        try:
-            phi = volterra.solve(volterra.VolterraProblem(f, kernel, g))
-        except volterra.StepSizeError as exc:
-            raise volterra.StepSizeError(f"gamma = {g:g}: {exc}") from exc
-        phi_by_gamma[g] = phi
+        phi_by_gamma[g] = phi = volterra.solve(volterra.VolterraProblem(f, kernel, g))
         theory[g] = volterra.generalized_fidelity(phi, g)
         first[g] = volterra.first_order(f, kernel, g)
     return phi_by_gamma, theory, first
@@ -192,20 +221,21 @@ def theory_pipeline(f: FidelityCurve, kernel: FidelityCurve, gammas):
 
 def _chunk_task(args):
     """Simulate one contiguous block of realizations (worker entry point)."""
-    (start, count, dim, beta, master_seed, lam, dt, n_steps, gammas, method, rho0) = args
-    grid = TimeGrid(dt, n_steps)
+    config, method, start, count = args
+    grid, gammas, lam = config.grid, config.gamma_list, config.lam
+    rho0 = config.initial_state
+    if rho0 is None:
+        rho0 = np.eye(config.dim, dtype=complex) / config.dim
     times = grid.times
     nt = len(grid)
     m = len(gammas)
-    if rho0 is None:
-        rho0 = np.eye(dim, dtype=complex) / dim
     f_out = np.empty((count, nt), dtype=complex)
     k_out = np.empty((count, nt), dtype=complex)
     fg_out = np.empty((count, m, nt), dtype=complex)
     damp = np.exp(-np.multiply.outer(np.asarray(gammas), times)) if m else None
     for pos in range(count):
         try:
-            cfg = EnsembleConfig(dim, beta, master_seed, start + pos)
+            cfg = EnsembleConfig(config.dim, config.beta, config.master_seed, start + pos)
             realization = build_realization(cfg)
             op = EchoOperator(realization, lam)
             f_vals = op.fidelity_values(times, rho0)
@@ -228,37 +258,24 @@ def _chunk_task(args):
                     fg_out[pos, gi] = np.einsum("tii->t", traj.states)
         except Exception as exc:
             raise RuntimeError(
-                f"realization {start + pos} (master_seed={master_seed}) failed: {exc}"
+                f"realization {start + pos} (master_seed={config.master_seed}) failed: {exc}"
             ) from exc
     return start, f_out, k_out, fg_out
 
 
 def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     """Simulate the ensemble and derive theory curves from its averages."""
-    if int(n_jobs) != n_jobs or n_jobs < 1:
-        raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
+    _check_count("n_jobs", n_jobs)
     method = config.resolved_method()
-    if method == "superoperator" and config.dim > _MAX_SUPEROP_DIM:
-        raise ValueError(
-            f"superoperator simulation at dim = {config.dim} is infeasible "
-            "(dense generator too large); use stepper or volterra-per-realization"
-        )
-    t_started = time.perf_counter()
     grid = config.grid
     nt = len(grid)
     m = len(config.gamma_list)
     n_total = config.n_batch * config.n_run
 
-    tasks = []
-    for start in range(0, n_total, _CHUNK_REALIZATIONS):
-        count = min(_CHUNK_REALIZATIONS, n_total - start)
-        tasks.append(
-            (
-                start, count, config.dim, config.beta, config.master_seed,
-                config.lam, grid.dt, grid.n_steps, config.gamma_list, method,
-                config.initial_state,
-            )
-        )
+    tasks = [
+        (config, method, start, min(_CHUNK_REALIZATIONS, n_total - start))
+        for start in range(0, n_total, _CHUNK_REALIZATIONS)
+    ]
 
     f_all = np.empty((n_total, nt), dtype=complex)
     k_all = np.empty((n_total, nt), dtype=complex)
@@ -296,16 +313,9 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     sim_minus_f = {g: difference_curve(simulated[g], f_lambda) for g in config.gamma_list}
     theory_minus_f = {g: difference_curve(theory[g], f_lambda) for g in config.gamma_list}
 
-    metadata = {
-        "method": method,
-        "n_jobs": int(n_jobs),
-        "n_realizations": int(n_total),
-        "master_seed": config.master_seed,
-        "config_digest": config.digest(),
-        "elapsed_s": time.perf_counter() - t_started,
-    }
     return RunReport(
         config=config,
+        method=method,
         f_lambda=f_lambda,
         kernel=kernel,
         simulated=simulated,
@@ -314,6 +324,4 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
         first_order=first,
         sim_minus_f=sim_minus_f,
         theory_minus_f=theory_minus_f,
-        alpha=config.alpha(),
-        metadata=metadata,
     )

@@ -35,6 +35,7 @@ from scipy.linalg import expm
 from .curves import FidelityCurve, TimeGrid
 from .echo import Spectral, check_initial_state
 
+PROPAGATION_METHODS = ("superoperator", "stepper")
 # largest dim for which the dense superoperator route is allowed
 _MAX_SUPEROP_DIM = 64
 
@@ -49,26 +50,27 @@ class QuasiDensity:
 
     matrix: np.ndarray
 
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-        self.matrix = matrix
-
     @classmethod
     def maximally_mixed(cls, dim: int) -> "QuasiDensity":
         return cls(np.eye(dim, dtype=complex) / dim)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
-    def validate_initial(self, tol: float = 1e-12) -> "QuasiDensity":
-        check_initial_state(self.matrix, tol)
-        return self
+def check_hermitian(name: str, m: np.ndarray) -> None:
+    """Raise unless m equals its conjugate transpose to 1e-12 relative."""
+    dev = np.max(np.abs(m - m.conj().T))
+    if dev > 1e-12 * max(1.0, np.max(np.abs(m))):
+        raise ValueError(f"{name} must be Hermitian: max |M - M^dag| = {dev:.3e}")
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
+
+def check_method(method: str, dim: int) -> None:
+    """Raise unless :func:`propagate` can run ``method`` at this dim."""
+    if method not in PROPAGATION_METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {PROPAGATION_METHODS}")
+    if method == "superoperator" and dim > _MAX_SUPEROP_DIM:
+        raise ValueError(
+            f"superoperator method is limited to dim <= {_MAX_SUPEROP_DIM} (got {dim}); "
+            "use stepper (or, for an ensemble, volterra-per-realization)"
+        )
 
 
 @dataclass(frozen=True)
@@ -125,9 +127,7 @@ def gamma_operator(kernel: CorrelationKernel, spectral: Spectral, coupling: np.n
     n = spectral.eigvals.shape[0]
     if coupling.shape != (n, n):
         raise ValueError(f"coupling shape {coupling.shape} does not match dim {n}")
-    herm_dev = np.max(np.abs(coupling - coupling.conj().T))
-    if herm_dev > 1e-12 * max(1.0, np.max(np.abs(coupling))):
-        raise ValueError(f"coupling must be Hermitian: max |V - V^dag| = {herm_dev:.3e}")
+    check_hermitian("coupling", coupling)
     if kernel.kind == "delta":
         return (0.5 * kernel.c0) * coupling
 
@@ -221,9 +221,7 @@ def _check_hamiltonians(h_lambda: np.ndarray, h_zero: np.ndarray):
     for name, h in (("h_lambda", h_lambda), ("h_zero", h_zero)):
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError(f"{name} must be square, got shape {h.shape}")
-        dev = np.max(np.abs(h - h.conj().T))
-        if dev > 1e-12 * max(1.0, np.max(np.abs(h))):
-            raise ValueError(f"{name} must be Hermitian: max |H - H^dag| = {dev:.3e}")
+        check_hermitian(name, h)
     if h_lambda.shape != h_zero.shape:
         raise ValueError(f"shape mismatch: {h_lambda.shape} vs {h_zero.shape}")
     return h_lambda, h_zero
@@ -241,10 +239,6 @@ class Trajectory:
         if states.ndim != 3 or states.shape[0] != len(self.grid) or states.shape[1] != states.shape[2]:
             raise ValueError(f"states shape {states.shape} does not match grid/dim")
         self.states = states
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
 
 
 def _propagate_superoperator(gen: EchoGenerator, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -291,7 +285,6 @@ def propagate(
     method: str = "superoperator",
     rtol: float = 1e-9,
     atol: float = 1e-12,
-    max_superop_dim: int = _MAX_SUPEROP_DIM,
 ) -> Trajectory:
     """Integrate the master equation from a density matrix over a grid.
 
@@ -300,7 +293,8 @@ def propagate(
     no eigenbasis, so defective generators are handled too.  ``stepper`` is
     adaptive RK45.
     """
-    matrix = rho0.matrix if isinstance(rho0, QuasiDensity) else np.asarray(rho0, dtype=complex)
+    check_method(method, generator.dim)
+    matrix = np.asarray(getattr(rho0, "matrix", rho0), dtype=complex)
     if matrix.shape != (generator.dim, generator.dim):
         raise ValueError(
             f"initial state shape {matrix.shape} does not match generator dim {generator.dim}"
@@ -308,16 +302,9 @@ def propagate(
     check_initial_state(matrix)
 
     if method == "superoperator":
-        if generator.dim > max_superop_dim:
-            raise ValueError(
-                f"superoperator method is limited to dim <= {max_superop_dim} "
-                f"(got {generator.dim}); use method='stepper'"
-            )
         states = _propagate_superoperator(generator, matrix, grid)
-    elif method == "stepper":
-        states = _propagate_stepper(generator, matrix, grid, rtol, atol)
     else:
-        raise ValueError(f"unknown method {method!r}, expected 'superoperator' or 'stepper'")
+        states = _propagate_stepper(generator, matrix, grid, rtol, atol)
     return Trajectory(grid=grid, states=states)
 
 

@@ -442,6 +442,10 @@ class TestGeneral:
         out = tmp_path / "out"
         assert main(["general", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
 
+    def test_coupling_file_must_be_a_path(self, tmp_path):
+        cfg = write_general_config(tmp_path / "g.json", coupling_file=5, n_draws=1)
+        assert main(["validate-config", "--config", str(cfg)]) == EXIT_CONFIG
+
     def test_coupling_file_requires_single_draw(self, tmp_path):
         np.save(tmp_path / "v.npy", np.eye(4))
         cfg = write_general_config(
@@ -472,6 +476,19 @@ class TestValidateAndErrors:
         cfg = write_config(
             tmp_path / "c.json", gamma_list=[50.0], grid={"dt": 0.05, "n_steps": 10}
         )
+        assert main(["validate-config", "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("case", ["non-hermitian-coupling", "state-dim", "superoperator-dim"])
+    def test_value_errors_reported_by_validate_config(self, tmp_path, case):
+        # each of these runs would otherwise fail later with a numerical failure
+        if case == "non-hermitian-coupling":
+            np.save(tmp_path / "v.npy", np.triu(np.ones((4, 4))))
+            cfg = write_general_config(tmp_path / "g.json", coupling_file="v.npy", n_draws=1)
+        elif case == "state-dim":
+            np.save(tmp_path / "rho.npy", np.eye(3) / 3)
+            cfg = write_general_config(tmp_path / "g.json", initial_state="rho.npy")
+        else:
+            cfg = write_config(tmp_path / "c.json", dim=80, method="superoperator")
         assert main(["validate-config", "--config", str(cfg)]) == EXIT_CONFIG
 
     def test_unwritable_output_is_io_error(self, tmp_path):

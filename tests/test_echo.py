@@ -10,7 +10,6 @@ from echo_gfa.echo import (
     EchoSetup,
     Spectral,
     check_initial_state,
-    echo_operator,
     fidelity_curve,
     kernel_curve,
     propagator,
@@ -76,7 +75,7 @@ class TestEchoOperator:
         h0 = np.diag(real.env_levels)
         hl = h0 + lam * real.perturbation
         expected = expm(1j * h0 * t) @ expm(-1j * hl * t)
-        got = echo_operator(real, lam, t)
+        got = EchoOperator(real, lam)(t)
         assert np.max(np.abs(got - expected)) < 1e-10
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 19, 23])

@@ -118,13 +118,21 @@ def test_echo_amplitudes_bounded(seed, dim, beta, lam):
 @given(dt=st.floats(allow_nan=True, allow_infinity=True))
 @RELAXED
 def test_time_grid_rejects_bad_spacing(dt):
-    if np.isfinite(dt) and dt > 0.0:
+    if np.isfinite(dt) and dt > 0.0 and np.isfinite(3 * dt):
         grid = TimeGrid(dt=dt, n_steps=3)
         assert len(grid) == 4
         assert grid.times[0] == 0.0
     else:
         with pytest.raises(ValueError):
             TimeGrid(dt=dt, n_steps=3)
+
+
+def test_time_grid_rejects_overflowing_end():
+    # every dt here is finite, but the grid end n_steps * dt is not
+    with pytest.raises(ValueError, match="not finite"):
+        TimeGrid(dt=1e308, n_steps=3)
+    with pytest.raises(ValueError, match="not finite"):
+        TimeGrid(dt=1e300, n_steps=10**9)
 
 
 @given(n=st.integers(-5, 5))
