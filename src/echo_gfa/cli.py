@@ -321,15 +321,17 @@ def read_curve(path: Path) -> FidelityCurve:
     if not path.is_file():
         raise ConfigError(f"missing kernel input: {path}")
     if path.suffix == ".json":
-        with open(path) as fh:
-            payload = json.load(fh)
         try:
+            with open(path) as fh:
+                payload = json.load(fh)
             t = np.asarray(payload["t"], dtype=float)
             values = np.asarray(payload["re_f"], dtype=float) + 1j * np.asarray(payload["im_f"], dtype=float)
             re_err = np.asarray(payload["re_err"], dtype=float)
             im_err = np.asarray(payload["im_err"], dtype=float)
         except KeyError as exc:
             raise ConfigError(f"{path}: missing column {exc}") from exc
+        except (TypeError, ValueError) as exc:  # bad JSON, not an object, not numbers
+            raise ConfigError(f"{path}: {exc}") from exc
     else:
         with open(path, newline="") as fh:
             header = next(csv.reader([fh.readline()]))
@@ -393,6 +395,8 @@ def _resolve_threads(args) -> int:
             raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
     if threads < 1:
         raise ConfigError(f"{source} must be >= 1, got {threads}")
+    if threads > (os.cpu_count() or threads):
+        print(f"warning: {source} = {threads} exceeds the {os.cpu_count()} CPU(s) of this machine", file=sys.stderr)
     return threads
 
 

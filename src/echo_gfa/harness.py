@@ -4,14 +4,16 @@ A run simulates ``n_batch * n_run`` independent realizations.  Realization
 ``b * n_run + r`` always consumes the same random substreams, so results are
 bitwise reproducible no matter how work is distributed over processes.
 Batch means feed the error bars: the reported standard error is the spread
-of the ``n_batch`` batch means.
+of the ``n_batch`` batch means.  The runner keeps only per-batch running
+sums, so its memory does not depend on ``n_run``.
 
 Per realization the damped amplitude can be obtained three ways (they agree
 up to discretisation error):
 
 * ``volterra-per-realization``: solve the realization's own integral
   equation, using that tr[M(t) M(tau)^dag] = tr[M(t - tau)]; O(dim^2) per
-  time point, the only practical choice at dim ~ 50.
+  time point, the only practical choice at dim ~ 50.  A worker chunk solves
+  all its (realization, Gamma) rows in one batched forward substitution.
 * ``superoperator`` / ``stepper``: integrate the reduced master equation
   and take the trace.
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import volterra
 from .curves import FidelityCurve, TimeGrid, check_same_grid
-from .echo import EchoOperator, check_initial_state
+from .echo import EchoOperator, EchoSetup
 from .master import (
     PROPAGATION_METHODS,
     CorrelationKernel,
@@ -58,12 +60,8 @@ def _check_shared(config) -> np.ndarray | None:
     EnsembleConfig(config.dim, config.beta, config.master_seed)
     if not np.isfinite(config.lam):
         raise ValueError(f"lam must be finite, got {config.lam!r}")
-    if config.initial_state is None:
-        return None
-    state = check_initial_state(config.initial_state)
-    if state.shape != (config.dim, config.dim):
-        raise ValueError(f"initial state shape {state.shape} does not match dim {config.dim}")
-    return state
+    setup = EchoSetup(config.lam, config.grid, config.initial_state)
+    return None if config.initial_state is None else setup.state(config.dim)
 
 
 @dataclass(eq=False)
@@ -83,16 +81,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self.initial_state = _check_shared(self)
-        gammas = tuple(float(g) for g in self.gamma_list)
-        if any(not np.isfinite(g) or g < 0.0 for g in gammas):
-            raise ValueError(f"every gamma must be finite and >= 0, got {self.gamma_list!r}")
+        gammas = tuple(volterra.check_rates(self.gamma_list, self.grid.dt).tolist())
         if len(set(gammas)) != len(gammas):
             raise ValueError(f"gamma_list has duplicates: {self.gamma_list!r}")
-        for g in gammas:
-            if 0.5 * g * self.grid.dt >= 1.0:
-                raise ValueError(
-                    f"gamma = {g:g} with dt = {self.grid.dt:g} violates gamma*dt/2 < 1; refine the grid"
-                )
         self.gamma_list = gammas
         _check_count("n_run", self.n_run)
         _check_count("n_batch", self.n_batch)
@@ -173,12 +164,8 @@ def difference_curve(a: FidelityCurve, b: FidelityCurve) -> FidelityCurve:
     grid = check_same_grid(a, b)
 
     def combine(ea, eb):
-        if ea is None and eb is None:
-            return None
-        if ea is None:
-            return eb.copy()
-        if eb is None:
-            return ea.copy()
+        if ea is None or eb is None:
+            return None if ea is eb else (eb if ea is None else ea).copy()
         return np.sqrt(ea * ea + eb * eb)
 
     return FidelityCurve(
@@ -209,57 +196,46 @@ def theory_pipeline(f: FidelityCurve, kernel: FidelityCurve, gammas):
     {gamma: first-order iterate}.  A step-size error names the offending
     Gamma.
     """
-    phi_by_gamma: dict[float, FidelityCurve] = {}
-    theory: dict[float, FidelityCurve] = {}
-    first: dict[float, FidelityCurve] = {}
-    for g in gammas:
-        phi_by_gamma[g] = phi = volterra.solve(volterra.VolterraProblem(f, kernel, g))
-        theory[g] = volterra.generalized_fidelity(phi, g)
-        first[g] = volterra.first_order(f, kernel, g)
-    return phi_by_gamma, theory, first
+    phi = {g: volterra.solve(volterra.VolterraProblem(f, kernel, g)) for g in gammas}
+    theory = {g: volterra.generalized_fidelity(phi[g], g) for g in gammas}
+    first = {g: volterra.first_order(f, kernel, g) for g in gammas}
+    return phi, theory, first
 
 
 def _chunk_task(args):
     """Simulate one contiguous block of realizations (worker entry point)."""
     config, method, start, count = args
     grid, gammas, lam = config.grid, config.gamma_list, config.lam
-    rho0 = config.initial_state
-    if rho0 is None:
-        rho0 = np.eye(config.dim, dtype=complex) / config.dim
-    times = grid.times
-    nt = len(grid)
-    m = len(gammas)
-    f_out = np.empty((count, nt), dtype=complex)
+    mixed = config.initial_state is None
+    nt, m = len(grid), len(gammas)
     k_out = np.empty((count, nt), dtype=complex)
+    # for rho0 = 1/dim the fidelity amplitude is the kernel: one curve serves both
+    f_out = k_out if mixed else np.empty((count, nt), dtype=complex)
     fg_out = np.empty((count, m, nt), dtype=complex)
-    damp = np.exp(-np.multiply.outer(np.asarray(gammas), times)) if m else None
+    rho0 = np.eye(config.dim, dtype=complex) / config.dim if mixed else config.initial_state
     for pos in range(count):
         try:
             cfg = EnsembleConfig(config.dim, config.beta, config.master_seed, start + pos)
             realization = build_realization(cfg)
             op = EchoOperator(realization, lam)
-            f_vals = op.fidelity_values(times, rho0)
-            k_vals = op.kernel_values(times)
-            f_out[pos] = f_vals
-            k_out[pos] = k_vals
-            if m == 0:
+            k_out[pos] = op.kernel_values(grid)
+            if not mixed:
+                f_out[pos] = op.fidelity_values(grid, rho0)
+            if m == 0 or method == "volterra-per-realization":
                 continue
-            if method == "volterra-per-realization":
-                phi = volterra.solve_many(
-                    FidelityCurve(grid, f_vals), FidelityCurve(grid, k_vals), gammas
-                )
-                fg_out[pos] = damp * phi
-            else:
-                h_lam = np.diag(realization.env_levels) + lam * realization.perturbation
-                h_zero = np.diag(realization.env_levels)
-                for gi, g in enumerate(gammas):
-                    gen = rmt_generator(h_lam, h_zero, g)
-                    traj = propagate(gen, rho0, grid, method=method)
-                    fg_out[pos, gi] = np.einsum("tii->t", traj.states)
+            h_lam = np.diag(realization.env_levels) + lam * realization.perturbation
+            h_zero = np.diag(realization.env_levels)
+            for gi, g in enumerate(gammas):
+                gen = rmt_generator(h_lam, h_zero, g)
+                traj = propagate(gen, rho0, grid, method=method)
+                fg_out[pos, gi] = np.einsum("tii->t", traj.states)
         except Exception as exc:
             raise RuntimeError(
                 f"realization {start + pos} (master_seed={config.master_seed}) failed: {exc}"
             ) from exc
+    if m and method == "volterra-per-realization":
+        fg_out = volterra.solve_rows(f_out, k_out, gammas, grid.dt)
+        fg_out *= np.exp(-np.outer(gammas, grid.times))
     return start, f_out, k_out, fg_out
 
 
@@ -268,8 +244,6 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     _check_count("n_jobs", n_jobs)
     method = config.resolved_method()
     grid = config.grid
-    nt = len(grid)
-    m = len(config.gamma_list)
     n_total = config.n_batch * config.n_run
 
     tasks = [
@@ -277,37 +251,33 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
         for start in range(0, n_total, _CHUNK_REALIZATIONS)
     ]
 
-    f_all = np.empty((n_total, nt), dtype=complex)
-    k_all = np.empty((n_total, nt), dtype=complex)
-    fg_all = np.empty((n_total, m, nt), dtype=complex)
+    # per-batch sums in realization order: memory is independent of n_run, the
+    # means are those of the stacked rows
+    nt, m = len(grid), len(config.gamma_list)
+    sums = [np.empty((config.n_batch,) + shape, dtype=complex) for shape in ((nt,), (nt,), (m, nt))]
     pool = ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else None
     try:
         results = map(_chunk_task, tasks) if pool is None else pool.map(_chunk_task, tasks)
-        for start, f_part, k_part, fg_part in results:
-            stop = start + f_part.shape[0]
-            f_all[start:stop] = f_part
-            k_all[start:stop] = k_part
-            fg_all[start:stop] = fg_part
+        for start, *parts in results:
+            for pos in range(parts[0].shape[0]):
+                batch, run = divmod(start + pos, config.n_run)
+                for total, part in zip(sums, parts):
+                    if run == 0:
+                        total[batch] = part[pos]
+                    else:
+                        total[batch] += part[pos]
     finally:
         if pool is not None:
             # also on a failed realization: drop queued chunks, reap the workers
             pool.shutdown(cancel_futures=True)
 
-    # batch means, then statistics over batches
-    shape = (config.n_batch, config.n_run)
-    f_batch = f_all.reshape(shape + (nt,)).mean(axis=1)
-    k_batch = k_all.reshape(shape + (nt,)).mean(axis=1)
-    fg_batch = fg_all.reshape(shape + (m, nt)).mean(axis=1)
+    def averaged(batch_sums):
+        # batch means, then statistics over batches
+        return FidelityCurve(grid, *batch_statistics(batch_sums / config.n_run))
 
-    f_mean, f_se_re, f_se_im = batch_statistics(f_batch)
-    k_mean, k_se_re, k_se_im = batch_statistics(k_batch)
-    f_lambda = FidelityCurve(grid, f_mean, stderr_re=f_se_re, stderr_im=f_se_im)
-    kernel = FidelityCurve(grid, k_mean, stderr_re=k_se_re, stderr_im=k_se_im)
-
-    simulated: dict[float, FidelityCurve] = {}
-    for gi, g in enumerate(config.gamma_list):
-        mean, se_re, se_im = batch_statistics(fg_batch[:, gi, :])
-        simulated[g] = FidelityCurve(grid, mean, stderr_re=se_re, stderr_im=se_im)
+    f_sum, k_sum, fg_sum = sums
+    f_lambda, kernel = averaged(f_sum), averaged(k_sum)
+    simulated = {g: averaged(fg_sum[:, gi, :]) for gi, g in enumerate(config.gamma_list)}
 
     phi_by_gamma, theory, first = theory_pipeline(f_lambda, kernel, config.gamma_list)
     sim_minus_f = {g: difference_curve(simulated[g], f_lambda) for g in config.gamma_list}

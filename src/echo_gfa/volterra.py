@@ -78,19 +78,41 @@ def convolve(a: FidelityCurve, b: FidelityCurve) -> FidelityCurve:
     return FidelityCurve(grid, out)
 
 
+def check_rates(gammas, dt: float) -> np.ndarray:
+    """Rates as a 1-D float array; each must be finite, >= 0 and satisfy Gamma dt / 2 < 1."""
+    gammas = np.asarray(gammas, dtype=float)
+    if gammas.ndim != 1:
+        raise ValueError("gammas must be one-dimensional")
+    if np.any(~np.isfinite(gammas)) or np.any(gammas < 0.0):
+        raise ValueError(f"every gamma must be finite and >= 0, got {gammas.tolist()!r}")
+    bad = 0.5 * gammas * dt
+    if np.any(bad >= 1.0):
+        worst = gammas[np.argmax(bad)]
+        raise StepSizeError(
+            f"gamma * dt / 2 = {np.max(bad):.3g} >= 1 for gamma = {worst:g}; "
+            f"refine the grid (dt = {dt:g})"
+        )
+    return gammas
+
+
 def _solve_direct(f: np.ndarray, kernel: np.ndarray, gammas: np.ndarray, dt: float) -> np.ndarray:
-    """Forward substitution for a batch of Gamma values; (m, n) result."""
-    m, n = gammas.shape[0], f.shape[0]
+    """Forward substitution for (n,) or (r, n) rows of (f, kernel) against every Gamma.
+
+    Gives (m, n) or (r, m, n); a row's values do not depend on its batch.
+    """
+    if f.ndim == 1:
+        return _solve_direct(f[None], kernel[None], gammas, dt)[0]
+    n = f.shape[1]
     h = gammas * dt  # (m,)
     denom = 1.0 - 0.5 * h
-    krev = kernel[::-1].copy()
-    phi = np.empty((m, n), dtype=complex)
-    phi[:, 0] = f[0]
+    krev = kernel[:, ::-1, None].copy()
+    phi = np.empty((f.shape[0], gammas.shape[0], n), dtype=complex)
+    phi[:, :, 0] = f[:, :1]
     half_k = 0.5 * kernel
     for i in range(1, n):
-        # sum_{j=1}^{i-1} kernel[i-j] phi[:, j] as a reversed-kernel dot product
-        s = phi[:, 1:i] @ krev[n - i : n - 1] if i > 1 else 0.0
-        phi[:, i] = (f[i] + h * (half_k[i] * phi[:, 0] + s)) / denom
+        # sum_{j=1}^{i-1} kernel[i-j] phi[..., j] as a stacked reversed-kernel product
+        s = (phi[:, :, 1:i] @ krev[:, n - i : n - 1])[:, :, 0] if i > 1 else 0.0
+        phi[:, :, i] = (f[:, i, None] + h * (half_k[:, i, None] * phi[:, :, 0] + s)) / denom
     return phi
 
 
@@ -124,31 +146,26 @@ def _solve_fast(f: np.ndarray, kernel: np.ndarray, gamma: float, dt: float) -> n
     return phi
 
 
+def solve_rows(f: np.ndarray, kernel: np.ndarray, gammas, dt: float) -> np.ndarray:
+    """phi for (n,) or (r, n) rows of (f, kernel) against every Gamma: (m, n) or (r, m, n).
+
+    Long grids are solved row by row by block recursion, short ones all at once.
+    """
+    gammas = check_rates(gammas, dt)
+    n = f.shape[-1]
+    if n <= _FAST_THRESHOLD:
+        return _solve_direct(f, kernel, gammas, dt)
+    out = np.empty(f.shape[:-1] + gammas.shape + (n,), dtype=complex)
+    for row in np.ndindex(f.shape[:-1]):
+        for gi, g in enumerate(gammas):
+            out[row + (gi,)] = f[row] if g == 0.0 else _solve_fast(f[row], kernel[row], g, dt)
+    return out
+
+
 def solve_many(f: FidelityCurve, kernel: FidelityCurve, gammas) -> np.ndarray:
     """phi rows for several Gamma values at once; see :func:`solve`."""
     grid = check_same_grid(f, kernel)
-    gammas = np.asarray(gammas, dtype=float)
-    if gammas.ndim != 1:
-        raise ValueError("gammas must be one-dimensional")
-    if np.any(~np.isfinite(gammas)) or np.any(gammas < 0.0):
-        raise ValueError("every gamma must be finite and >= 0")
-    bad = 0.5 * gammas * grid.dt
-    if np.any(bad >= 1.0):
-        worst = gammas[np.argmax(bad)]
-        raise StepSizeError(
-            f"gamma * dt / 2 = {np.max(bad):.3g} >= 1 for gamma = {worst:g}; "
-            f"refine the grid (dt = {grid.dt:g})"
-        )
-    n = len(f)
-    if n > _FAST_THRESHOLD:
-        out = np.empty((gammas.shape[0], n), dtype=complex)
-        for row, g in enumerate(gammas):
-            if g == 0.0:
-                out[row] = f.values
-            else:
-                out[row] = _solve_fast(f.values, kernel.values, g, grid.dt)
-        return out
-    return _solve_direct(f.values, kernel.values, gammas, grid.dt)
+    return solve_rows(f.values, kernel.values, gammas, grid.dt)
 
 
 def solve(problem: VolterraProblem) -> FidelityCurve:

@@ -247,6 +247,20 @@ class TestSimulate:
         main(["simulate", "--config", str(cfg), "--out", str(out2)])
         assert read_payloads(out1) == read_payloads(out2)
 
+    def test_threads_above_cpu_count_warn_on_stderr(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        cfg = write_config(tmp_path / "c.json", n_run=3, n_batch=1)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out1), "--threads", "1"]) == EXIT_OK
+        assert "exceeds" not in capsys.readouterr().err
+        assert main(["simulate", "--config", str(cfg), "--out", str(out2), "--threads", "2"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "--threads = 2 exceeds the 1 CPU(s)" in captured.err
+        assert "exceeds" not in captured.out
+        # the warning changes nothing in --out: same files, same payload bytes
+        assert sorted(p.name for p in out1.iterdir()) == sorted(p.name for p in out2.iterdir())
+        assert read_payloads(out1) == read_payloads(out2)
+
     def test_seed_override_changes_data(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -334,6 +348,22 @@ class TestTheory:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "n_steps = 80" in err and "n_steps = 40" in err
+
+    @pytest.mark.parametrize("damage", ["truncated", "not-an-object"])
+    def test_malformed_json_kernel_is_config_error(self, tmp_path, capsys, damage):
+        cfg = write_config(tmp_path / "c.json", n_run=2, n_batch=1)
+        kdir = tmp_path / "k"
+        assert main(["simulate", "--config", str(cfg), "--out", str(kdir), "--format", "json"]) == EXIT_OK
+        path = kdir / "f_lambda.json"
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2] if damage == "truncated" else "[" + text + "]")
+        capsys.readouterr()
+        rc = main(
+            ["theory", "--config", str(cfg), "--out", str(tmp_path / "o"),
+             "--format", "json", "--kernels", str(kdir)]
+        )
+        assert rc == EXIT_CONFIG
+        assert "f_lambda.json" in capsys.readouterr().err
 
     def test_denormalised_kernel_is_numeric_error(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

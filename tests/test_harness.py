@@ -7,14 +7,17 @@ import pytest
 
 import echo_gfa.harness as harness_mod
 from echo_gfa.curves import FidelityCurve, TimeGrid
+from echo_gfa.echo import EchoOperator
 from echo_gfa.harness import (
     ExperimentConfig,
+    _chunk_task,
     batch_statistics,
     difference_curve,
     run_ensemble,
     theory_pipeline,
 )
-from echo_gfa.volterra import StepSizeError
+from echo_gfa.rmt import EnsembleConfig, build_realization
+from echo_gfa.volterra import StepSizeError, solve_many
 
 
 def small_config(**kw):
@@ -201,3 +204,66 @@ class TestRunEnsemble:
         with pytest.raises(RuntimeError, match="injected failure"):
             run_ensemble(small_config(n_run=40), n_jobs=2)
         assert multiprocessing.active_children() == []
+
+
+def batched_config(beta, state):
+    # 36 realizations: two worker chunks, the last batch spans both
+    rho = None
+    if state == "pure":
+        rng = np.random.default_rng(beta)
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+    return small_config(
+        beta=beta, n_run=12, n_batch=3, method="volterra-per-realization",
+        gamma_list=(0.0, 0.05, 0.2), initial_state=rho,
+    )
+
+
+@pytest.mark.parametrize("state", ["mixed", "pure"])
+@pytest.mark.parametrize("beta", [1, 2])
+class TestBatchedChunk:
+    def test_rows_match_per_realization_path(self, beta, state):
+        cfg = batched_config(beta, state)
+        grid, gammas = cfg.grid, cfg.gamma_list
+        rho0 = np.eye(8) / 8 if cfg.initial_state is None else cfg.initial_state
+        start, f, k, fg = _chunk_task((cfg, "volterra-per-realization", 0, 30))
+        assert start == 0 and fg.shape == (30, 3, len(grid))
+        for pos in range(30):
+            real = build_realization(EnsembleConfig(8, beta, cfg.master_seed, pos))
+            op = EchoOperator(real, cfg.lam)
+            f_ref = op.fidelity_values(grid, rho0)
+            k_ref = op.kernel_values(grid)
+            phi = solve_many(FidelityCurve(grid, f_ref), FidelityCurve(grid, k_ref), gammas)
+            fg_ref = np.exp(-np.outer(gammas, grid.times)) * phi
+            assert np.max(np.abs(f[pos] - f_ref)) < 1e-13
+            assert np.max(np.abs(k[pos] - k_ref)) < 1e-13
+            assert np.max(np.abs(fg[pos] - fg_ref)) < 1e-13
+
+    def test_chunk_split_is_bit_identical(self, beta, state):
+        cfg = batched_config(beta, state)
+        method = "volterra-per-realization"
+        whole = _chunk_task((cfg, method, 0, 30))[1:]
+        head = _chunk_task((cfg, method, 0, 7))[1:]
+        tail = _chunk_task((cfg, method, 7, 23))[1:]
+        for w, a, b in zip(whole, head, tail):
+            assert np.array_equal(w, np.concatenate([a, b]))
+
+    def test_running_sums_equal_stacked_batch_means(self, beta, state):
+        cfg = batched_config(beta, state)
+        report = run_ensemble(cfg)
+        n_total = cfg.n_batch * cfg.n_run
+        f, k, fg = _chunk_task((cfg, "volterra-per-realization", 0, n_total))[1:]
+
+        def stats(rows):
+            return batch_statistics(rows.reshape((cfg.n_batch, cfg.n_run) + rows.shape[1:]).mean(axis=1))
+
+        def same(curve, expected):
+            mean, se_re, se_im = expected
+            assert np.array_equal(curve.values, mean)
+            assert np.array_equal(curve.stderr_re, se_re)
+            assert np.array_equal(curve.stderr_im, se_im)
+
+        same(report.f_lambda, stats(f))
+        same(report.kernel, stats(k))
+        for gi, g in enumerate(cfg.gamma_list):
+            same(report.simulated[g], stats(fg[:, gi]))

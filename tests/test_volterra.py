@@ -121,6 +121,21 @@ class TestSolve:
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(direct - fast)) < 1e-12 * scale
 
+    def test_rows_above_fast_threshold_match_direct(self, monkeypatch):
+        # shrink the thresholds so the row-by-row fast path runs on a short grid
+        monkeypatch.setattr(volterra_mod, "_FAST_THRESHOLD", 64)
+        monkeypatch.setattr(volterra_mod, "_BASE_BLOCK", 16)
+        grid = TimeGrid(dt=0.02, n_steps=300)
+        f, k = smooth_pair(grid)
+        rows_f = np.stack([f.values, 0.5j * f.values])
+        rows_k = np.stack([k.values, k.values.conj()])
+        gammas = np.array([0.0, 0.3])
+        fast = volterra_mod.solve_rows(rows_f, rows_k, gammas, grid.dt)
+        direct = volterra_mod._solve_direct(rows_f, rows_k, gammas, grid.dt)
+        assert fast.shape == (2, 2, 301)
+        assert np.array_equal(fast[:, 0], rows_f)
+        assert np.max(np.abs(fast - direct)) < 1e-12
+
     def test_solve_many_matches_single_solves(self):
         grid = TimeGrid(dt=0.02, n_steps=500)
         f, k = smooth_pair(grid)
