@@ -1,0 +1,52 @@
+#!/usr/bin/env python3
+"""Write the reduced-size preset outputs that two versions are compared on.
+
+    PYTHONPATH=src python scripts/preset_outputs.py OUT [--threads N]
+
+Runs ``simulate`` on the ``fig1`` and ``fig2`` presets with ``n_run`` = 4,
+in CSV and in JSON, then ``theory --kernels`` on each of those outputs.
+Everything goes under OUT: the reduced configs in ``configs/``, and one
+directory per run (``fig1-csv``, ``fig1-csv-theory``, ...).  Paths are
+relative to OUT, so the manifests do not depend on where OUT is.
+
+To compare two versions, run this once with each version's ``src`` on
+PYTHONPATH, then ``python scripts/compare_outputs.py OUT_A OUT_B``.
+"""
+
+import argparse
+import json
+import os
+from pathlib import Path
+
+from echo_gfa.cli import load_config, main
+
+N_RUN = 4
+
+
+def run(*argv: str) -> None:
+    code = main(list(argv))
+    if code != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {code}")
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("out")
+    ap.add_argument("--threads", type=int, default=1)
+    ns = ap.parse_args()
+    out = Path(ns.out)
+    (out / "configs").mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    threads = str(ns.threads)
+    for preset in ("fig1", "fig2"):
+        data, _ = load_config(f"{preset}.json")
+        data["n_run"] = N_RUN
+        config = Path("configs") / f"{preset}.json"
+        config.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        for fmt in ("csv", "json"):
+            sim = f"{preset}-{fmt}"
+            run("simulate", "--config", str(config), "--out", sim, "--format", fmt, "--threads", threads)
+            run(
+                "theory", "--config", str(config), "--out", f"{sim}-theory", "--format", fmt,
+                "--kernels", sim, "--threads", threads,
+            )

@@ -48,6 +48,7 @@ from .harness import (
 )
 from .master import CorrelationKernel, general_generator, propagate, rmt_generator, trace_curve
 from .rmt import EnsembleConfig, build_realization, sample_gaussian, stream
+from .volterra import VolterraProblem
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -213,6 +214,11 @@ def parse_ensemble_config(data: dict, base: Path, seed_override=None):
         ExperimentConfig, **shared, gamma_list=tuple(gammas),
         n_run=n_run, n_batch=n_batch, method=method,
     )
+    tags = {}
+    for g in config.gamma_list:
+        other = tags.setdefault(gamma_tag(g), g)
+        if other != g:
+            raise ConfigError(f"gamma_list rates {other!r} and {g!r} share the file tag '{gamma_tag(g)}'")
     resolved.update(gamma_list=gammas, n_run=n_run, n_batch=n_batch, method=method)
     return config, resolved
 
@@ -353,13 +359,16 @@ def read_curve(path: Path) -> FidelityCurve:
         re_err, im_err = arr[:, 3], arr[:, 4]
     if t.shape[0] < 2 or t[0] != 0.0:
         raise ConfigError(f"{path}: time column must start at 0")
-    dt = t[1]
-    grid = TimeGrid(dt=dt, n_steps=t.shape[0] - 1)
+    grid = _build(TimeGrid, f"{path}: ", dt=t[1], n_steps=t.shape[0] - 1)
     if not np.allclose(t, grid.times, rtol=0.0, atol=1e-9 * max(1.0, abs(t[-1]))):
         raise ConfigError(f"{path}: time column is not a uniform grid")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{path}: curve values must be finite")
     stderr_re = re_err if np.any(re_err) else None
     stderr_im = im_err if np.any(im_err) else None
-    return FidelityCurve(grid, values, stderr_re=stderr_re, stderr_im=stderr_im)
+    return _build(
+        FidelityCurve, f"{path}: ", grid=grid, values=values, stderr_re=stderr_re, stderr_im=stderr_im
+    )
 
 
 def write_manifest(out_dir: Path, command: str, fmt: str, resolved: dict, files: dict, extra: dict | None = None) -> None:
@@ -451,8 +460,8 @@ def cmd_simulate(args) -> int:
 
     n_total = config.n_batch * config.n_run
     print(
-        f"simulate: {n_total} realizations (dim={config.dim}, method={report.method}, "
-        f"threads={threads}) in {elapsed:.1f} s -> {out} ({len(files) + 1} files)"
+        f"simulate: {n_total} realizations (dim={config.dim}, threads={threads}) "
+        f"in {elapsed:.1f} s -> {out} ({len(files) + 1} files)"
     )
     return EXIT_OK
 
@@ -469,8 +478,8 @@ def cmd_theory(args) -> int:
         kdir = Path(args.kernels)
         f_lambda = read_curve(kdir / f"f_lambda.{ext}")
         kernel = read_curve(kdir / f"f_bar.{ext}")
-        if f_lambda.grid != kernel.grid:
-            raise ConfigError(f"{kdir}: f_lambda and f_bar grids differ")
+        # the same grid for both, a kernel starting at 1
+        _build(VolterraProblem, f"{kdir / f'f_bar.{ext}'}: ", f=f_lambda, kernel=kernel, gamma_rate=0.0)
         kgrid, cgrid = f_lambda.grid, config.grid
         if kgrid.n_steps != cgrid.n_steps or abs(kgrid.dt - cgrid.dt) > 1e-12 * cgrid.dt:
             raise ConfigError(

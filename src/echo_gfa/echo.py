@@ -65,16 +65,21 @@ def _phases(energies: np.ndarray, dt: float, lo: int, hi: int) -> np.ndarray:
     return table[lo - q[0] * _BLOCK : hi - q[0] * _BLOCK]
 
 
+def check_hermitian(name: str, m: np.ndarray) -> None:
+    """Raise unless m is finite and equals its conjugate transpose to 1e-12 relative."""
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} must have finite entries")
+    dev = np.max(np.abs(m - m.conj().T))
+    if dev > 1e-12 * max(1.0, np.max(np.abs(m))):
+        raise ValueError(f"{name} must be Hermitian: max |M - M^dag| = {dev:.3e}")
+
+
 def check_initial_state(rho: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, positive within tol."""
+    """Validate a density matrix: finite and Hermitian, then unit trace and positive within tol."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"initial state must be a square matrix, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("initial state has non-finite entries")
-    herm_dev = np.max(np.abs(rho - rho.conj().T))
-    if herm_dev > tol:
-        raise ValueError(f"initial state is not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
+    check_hermitian("initial state", rho)
     trace_dev = abs(np.trace(rho) - 1.0)
     if trace_dev > tol:
         raise ValueError(f"initial state trace deviates from 1 by {trace_dev:.3e}")

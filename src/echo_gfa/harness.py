@@ -7,15 +7,12 @@ Batch means feed the error bars: the reported standard error is the spread
 of the ``n_batch`` batch means.  The runner keeps only per-batch running
 sums, so its memory does not depend on ``n_run``.
 
-Per realization the damped amplitude can be obtained three ways (they agree
-up to discretisation error):
-
-* ``volterra-per-realization``: solve the realization's own integral
-  equation, using that tr[M(t) M(tau)^dag] = tr[M(t - tau)]; O(dim^2) per
-  time point, the only practical choice at dim ~ 50.  A worker chunk solves
-  all its (realization, Gamma) rows in one batched forward substitution.
-* ``superoperator`` / ``stepper``: integrate the reduced master equation
-  and take the trace.
+Per realization the damped amplitude is exp(-Gamma t) phi_r, where phi_r
+solves the realization's own integral equation (using that
+tr[M(t) M(tau)^dag] = tr[M(t - tau)]; O(dim^2) per time point).  A worker
+chunk solves all its (realization, Gamma) rows in one batched forward
+substitution.  The reduced master equation gives the same trace; it serves
+``general`` and the gate checks, not the ensemble runner.
 
 The theory curves solve the same integral equation once, on the
 batch-averaged inputs <f> and <tr M>/dim.
@@ -30,18 +27,13 @@ import numpy as np
 
 from . import volterra
 from .curves import FidelityCurve, TimeGrid, check_same_grid
-from .echo import EchoOperator, EchoSetup
-from .master import (
-    PROPAGATION_METHODS,
-    CorrelationKernel,
-    check_hermitian,
-    check_method,
-    propagate,
-    rmt_generator,
-)
+from .echo import EchoOperator, EchoSetup, check_hermitian
+from .master import CorrelationKernel, check_method
+from .master import propagate  # noqa: F401  perfbench/tracing.py wraps harness.propagate
 from .rmt import EnsembleConfig, build_realization
 
-SIM_METHODS = PROPAGATION_METHODS + ("volterra-per-realization",)
+# both spellings name the one per-realization route
+SIM_METHODS = ("auto", "volterra-per-realization")
 # realizations per worker task; fixed so chunking never affects results
 _CHUNK_REALIZATIONS = 32
 
@@ -87,16 +79,11 @@ class ExperimentConfig:
         self.gamma_list = gammas
         _check_count("n_run", self.n_run)
         _check_count("n_batch", self.n_batch)
-        if self.method not in SIM_METHODS + ("auto",):
-            raise ValueError(f"method must be one of {SIM_METHODS + ('auto',)}, got {self.method!r}")
-        if self.resolved_method() != "volterra-per-realization":
-            check_method(self.resolved_method(), self.dim)
-
-    def resolved_method(self) -> str:
-        if self.method != "auto":
-            return self.method
-        # dense superoperators are exact and cheap for small dims only
-        return "superoperator" if self.dim <= 16 else "volterra-per-realization"
+        if self.method not in SIM_METHODS:
+            raise ValueError(
+                f"method must be one of {SIM_METHODS}, got {self.method!r} "
+                "(master-equation propagation belongs to general configs)"
+            )
 
     def alpha(self) -> dict[float, float | None]:
         """Gamma / lam per rate; None when the echo is unperturbed."""
@@ -144,7 +131,6 @@ class RunReport:
     """Everything a simulate run produces."""
 
     config: ExperimentConfig
-    method: str
     f_lambda: FidelityCurve
     kernel: FidelityCurve
     simulated: dict[float, FidelityCurve]
@@ -204,36 +190,25 @@ def theory_pipeline(f: FidelityCurve, kernel: FidelityCurve, gammas):
 
 def _chunk_task(args):
     """Simulate one contiguous block of realizations (worker entry point)."""
-    config, method, start, count = args
+    config, start, count = args
     grid, gammas, lam = config.grid, config.gamma_list, config.lam
     mixed = config.initial_state is None
-    nt, m = len(grid), len(gammas)
-    k_out = np.empty((count, nt), dtype=complex)
+    k_out = np.empty((count, len(grid)), dtype=complex)
     # for rho0 = 1/dim the fidelity amplitude is the kernel: one curve serves both
-    f_out = k_out if mixed else np.empty((count, nt), dtype=complex)
-    fg_out = np.empty((count, m, nt), dtype=complex)
-    rho0 = np.eye(config.dim, dtype=complex) / config.dim if mixed else config.initial_state
+    f_out = k_out if mixed else np.empty_like(k_out)
     for pos in range(count):
         try:
             cfg = EnsembleConfig(config.dim, config.beta, config.master_seed, start + pos)
-            realization = build_realization(cfg)
-            op = EchoOperator(realization, lam)
+            op = EchoOperator(build_realization(cfg), lam)
             k_out[pos] = op.kernel_values(grid)
             if not mixed:
-                f_out[pos] = op.fidelity_values(grid, rho0)
-            if m == 0 or method == "volterra-per-realization":
-                continue
-            h_lam = np.diag(realization.env_levels) + lam * realization.perturbation
-            h_zero = np.diag(realization.env_levels)
-            for gi, g in enumerate(gammas):
-                gen = rmt_generator(h_lam, h_zero, g)
-                traj = propagate(gen, rho0, grid, method=method)
-                fg_out[pos, gi] = np.einsum("tii->t", traj.states)
+                f_out[pos] = op.fidelity_values(grid, config.initial_state)
         except Exception as exc:
             raise RuntimeError(
                 f"realization {start + pos} (master_seed={config.master_seed}) failed: {exc}"
             ) from exc
-    if m and method == "volterra-per-realization":
+    fg_out = np.empty((count, 0, len(grid)), dtype=complex)
+    if gammas:
         fg_out = volterra.solve_rows(f_out, k_out, gammas, grid.dt)
         fg_out *= np.exp(-np.outer(gammas, grid.times))
     return start, f_out, k_out, fg_out
@@ -242,12 +217,11 @@ def _chunk_task(args):
 def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     """Simulate the ensemble and derive theory curves from its averages."""
     _check_count("n_jobs", n_jobs)
-    method = config.resolved_method()
     grid = config.grid
     n_total = config.n_batch * config.n_run
 
     tasks = [
-        (config, method, start, min(_CHUNK_REALIZATIONS, n_total - start))
+        (config, start, min(_CHUNK_REALIZATIONS, n_total - start))
         for start in range(0, n_total, _CHUNK_REALIZATIONS)
     ]
 
@@ -285,7 +259,6 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
 
     return RunReport(
         config=config,
-        method=method,
         f_lambda=f_lambda,
         kernel=kernel,
         simulated=simulated,

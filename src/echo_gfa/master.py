@@ -33,7 +33,7 @@ from scipy import integrate
 from scipy.linalg import expm
 
 from .curves import FidelityCurve, TimeGrid
-from .echo import Spectral, check_initial_state
+from .echo import Spectral, check_hermitian, check_initial_state
 
 PROPAGATION_METHODS = ("superoperator", "stepper")
 # largest dim for which the dense superoperator route is allowed
@@ -55,21 +55,13 @@ class QuasiDensity:
         return cls(np.eye(dim, dtype=complex) / dim)
 
 
-def check_hermitian(name: str, m: np.ndarray) -> None:
-    """Raise unless m equals its conjugate transpose to 1e-12 relative."""
-    dev = np.max(np.abs(m - m.conj().T))
-    if dev > 1e-12 * max(1.0, np.max(np.abs(m))):
-        raise ValueError(f"{name} must be Hermitian: max |M - M^dag| = {dev:.3e}")
-
-
 def check_method(method: str, dim: int) -> None:
     """Raise unless :func:`propagate` can run ``method`` at this dim."""
     if method not in PROPAGATION_METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {PROPAGATION_METHODS}")
     if method == "superoperator" and dim > _MAX_SUPEROP_DIM:
         raise ValueError(
-            f"superoperator method is limited to dim <= {_MAX_SUPEROP_DIM} (got {dim}); "
-            "use stepper (or, for an ensemble, volterra-per-realization)"
+            f"superoperator method is limited to dim <= {_MAX_SUPEROP_DIM} (got {dim}); use stepper"
         )
 
 
@@ -155,32 +147,24 @@ class EchoGenerator:
 
     def dissipator(self, rho: np.ndarray) -> np.ndarray:
         if self.form == "rmt":
-            return -self.rate * (rho - (np.trace(rho) / self.dim) * np.eye(self.dim))
+            trace = np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+            return -self.rate * (rho - (trace / self.dim) * np.eye(self.dim))
         g2 = self.strength ** 2
         v, gl, g0 = self.coupling, self.gamma_lambda, self.gamma_zero
         return -g2 * (v @ (gl @ rho) - v @ (rho @ g0) - gl @ (rho @ v) + (rho @ g0) @ v)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
+        """The right-hand side at one (d, d) state or a stack (..., d, d) of them."""
         return -1j * (self.h_lambda @ rho - rho @ self.h_zero) + self.dissipator(rho)
 
     def superoperator(self) -> np.ndarray:
-        """Dense matrix L with L vec(rho) = vec(apply(rho)), row-major vec."""
-        d = self.dim
-        eye = np.eye(d)
-        l = -1j * (np.kron(self.h_lambda, eye) - np.kron(eye, self.h_zero.T))
-        if self.form == "rmt":
-            vec_eye = eye.reshape(-1)
-            l -= self.rate * (np.eye(d * d) - np.outer(vec_eye, vec_eye) / d)
-        else:
-            g2 = self.strength ** 2
-            v, gl, g0 = self.coupling, self.gamma_lambda, self.gamma_zero
-            l -= g2 * (
-                np.kron(v @ gl, eye)
-                - np.kron(v, g0.T)
-                - np.kron(gl, v.T)
-                + np.kron(eye, (g0 @ v).T)
-            )
-        return l
+        """Dense matrix L with L vec(rho) = vec(apply(rho)), row-major vec.
+
+        Column k is vec(apply(E_k)) for the k-th unit matrix E_k.
+        """
+        n = self.dim * self.dim
+        columns = self.apply(np.eye(n, dtype=complex).reshape(n, self.dim, self.dim))
+        return np.ascontiguousarray(columns.reshape(n, n).T)
 
 
 def rmt_generator(h_lambda: np.ndarray, h_zero: np.ndarray, rate: float) -> EchoGenerator:

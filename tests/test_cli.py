@@ -13,7 +13,6 @@ import pytest
 from echo_gfa import __version__
 from echo_gfa.cli import (
     EXIT_CONFIG,
-    EXIT_NUMERIC,
     EXIT_OK,
     THREADS_ENV,
     gamma_tag,
@@ -194,13 +193,17 @@ class TestSimulate:
         cfg = write_config(tmp_path / "c.json", **{"lambda": 0.0})
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        for tag in ("0.05", "0.2"):
-            with open(out / f"f_sim_gamma_{tag}.csv", newline="") as fh:
-                rows = list(csv.DictReader(fh))
-            re_f = np.array([float(r["re_f"]) for r in rows])
-            im_f = np.array([float(r["im_f"]) for r in rows])
-            assert np.max(np.abs(re_f - 1.0)) < 1e-9
-            assert np.max(np.abs(im_f)) < 1e-9
+        for name in ("f_lambda", "f_bar"):
+            assert np.max(np.abs(read_curve(out / f"{name}.csv").values - 1.0)) < 1e-9
+        t_max, dt = 40 * 0.05, 0.05
+        for g in (0.05, 0.2):
+            sim = read_curve(out / f"f_sim_gamma_{gamma_tag(g)}.csv").values
+            theory = read_curve(out / f"f_theory_gamma_{gamma_tag(g)}.csv").values
+            # both channels solve the integral equation on this grid, so both
+            # carry its trapezoid bias exp(G^3 t dt^2 / 12) - 1
+            bias = np.expm1(g**3 * t_max * dt**2 / 12.0)
+            assert np.max(np.abs(sim - theory)) < 1e-12
+            assert np.max(np.abs(sim - 1.0)) < 1.5 * bias + 1e-9
 
     def test_expected_files_and_manifest(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
@@ -365,21 +368,28 @@ class TestTheory:
         assert rc == EXIT_CONFIG
         assert "f_lambda.json" in capsys.readouterr().err
 
-    def test_denormalised_kernel_is_numeric_error(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["nan-value", "f_bar-at-half", "zero-step"])
+    def test_bad_kernel_file_is_config_error(self, tmp_path, capsys, damage):
         cfg = write_config(tmp_path / "c.json")
+        name = "f_lambda" if damage == "nan-value" else "f_bar"
         kdir = tmp_path / "k"
         kdir.mkdir()
-        grid = TimeGrid(dt=0.05, n_steps=40)
-        ones = FidelityCurve(grid, np.ones(41, dtype=complex))
-        write_curve(kdir / "f_lambda.csv", ones, "csv")
-        write_curve(
-            kdir / "f_bar.csv", FidelityCurve(grid, np.full(41, 0.5, dtype=complex)), "csv"
-        )
+        for key in ("f_lambda", "f_bar"):
+            t, re_f = TimeGrid(dt=0.05, n_steps=40).times, np.ones(41)
+            if key == name and damage == "nan-value":
+                re_f[7] = np.nan
+            elif key == name and damage == "f_bar-at-half":
+                re_f[:] = 0.5
+            elif key == name:
+                t[1] = 0.0
+            rows = [f"{ti!r},{vi!r},0.0,0.0,0.0" for ti, vi in zip(t.tolist(), re_f.tolist())]
+            (kdir / f"{key}.csv").write_text("\r\n".join(["t,re_f,im_f,re_err,im_err"] + rows) + "\r\n")
         rc = main(
             ["theory", "--config", str(cfg), "--out", str(tmp_path / "o"),
              "--kernels", str(kdir)]
         )
-        assert rc == EXIT_NUMERIC
+        assert rc == EXIT_CONFIG
+        assert f"{name}.csv" in capsys.readouterr().err
 
     def test_first_order_accuracy_tracks_rate(self, tmp_path):
         # the one-step iterate is near-exact at tiny damping, visibly off at
@@ -508,18 +518,39 @@ class TestValidateAndErrors:
         )
         assert main(["validate-config", "--config", str(cfg)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("case", ["non-hermitian-coupling", "state-dim", "superoperator-dim"])
+    @pytest.mark.parametrize(
+        "case",
+        ["non-hermitian-coupling", "state-dim", "superoperator-dim", "stepper", "nan-coupling"],
+    )
     def test_value_errors_reported_by_validate_config(self, tmp_path, case):
-        # each of these runs would otherwise fail later with a numerical failure
+        # each of these runs would otherwise fail later, or write nan curves
         if case == "non-hermitian-coupling":
             np.save(tmp_path / "v.npy", np.triu(np.ones((4, 4))))
+            cfg = write_general_config(tmp_path / "g.json", coupling_file="v.npy", n_draws=1)
+        elif case == "nan-coupling":
+            v = np.eye(4)
+            v[1, 1] = np.nan
+            np.save(tmp_path / "v.npy", v)
             cfg = write_general_config(tmp_path / "g.json", coupling_file="v.npy", n_draws=1)
         elif case == "state-dim":
             np.save(tmp_path / "rho.npy", np.eye(3) / 3)
             cfg = write_general_config(tmp_path / "g.json", initial_state="rho.npy")
+        elif case == "stepper":
+            # master-equation propagation is for general configs only
+            cfg = write_config(tmp_path / "c.json", dim=8, method="stepper")
         else:
             cfg = write_config(tmp_path / "c.json", dim=80, method="superoperator")
         assert main(["validate-config", "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_colliding_rate_tags_rejected(self, tmp_path, capsys):
+        # both rates would be written as *_gamma_0.1.csv
+        cfg = write_config(tmp_path / "c.json", gamma_list=[0.1, 0.1000001])
+        assert main(["validate-config", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "0.1 " in err and "0.1000001" in err
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         from echo_gfa.cli import EXIT_IO

@@ -1,4 +1,4 @@
-"""Ensemble runner: averaging, error bars, determinism, and method parity."""
+"""Ensemble runner: averaging, error bars, determinism and the batched chunk."""
 
 import multiprocessing
 
@@ -56,11 +56,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="gamma = 40"):
             small_config(gamma_list=(0.05, 40.0))
         small_config(gamma_list=(0.05, 39.9))
-
-    def test_auto_method_resolution(self):
-        assert small_config(dim=8).resolved_method() == "superoperator"
-        assert small_config(dim=50).resolved_method() == "volterra-per-realization"
-        assert small_config(dim=50, method="stepper").resolved_method() == "stepper"
 
 
 class TestStatistics:
@@ -132,36 +127,22 @@ class TestRunEnsemble:
         assert np.max(np.abs(report.f_lambda.values - 1.0)) < 1e-9
         assert np.max(np.abs(report.kernel.values - 1.0)) < 1e-9
         for g in (0.0, 0.3):
-            assert np.max(np.abs(report.simulated[g].values - 1.0)) < 1e-9
-            # the theory channel re-solves on this grid, so it carries the
-            # trapezoid bias exp(G^3 t dt^2 / 12) - 1; check it is exactly that
+            # both channels solve the integral equation on this grid, so both
+            # carry the trapezoid bias exp(G^3 t dt^2 / 12) - 1; check it is exactly that
             bias = np.expm1(g**3 * cfg.grid.t_max * cfg.grid.dt**2 / 12.0)
             assert np.max(np.abs(report.theory[g].values - 1.0)) < 1.5 * bias + 1e-9
+            assert np.max(np.abs(report.simulated[g].values - 1.0)) < 1.5 * bias + 1e-9
+            assert np.max(np.abs(report.simulated[g].values - report.theory[g].values)) < 1e-12
 
     def test_zero_rate_channel_equals_baseline(self):
         report = run_ensemble(small_config(gamma_list=(0.0,)))
         assert np.max(np.abs(report.simulated[0.0].values - report.f_lambda.values)) < 1e-12
         assert np.max(np.abs(report.theory[0.0].values - report.f_lambda.values)) < 1e-12
 
-    def test_methods_agree(self):
-        kw = dict(gamma_list=(0.1,), n_run=4, n_batch=1)
-        sup = run_ensemble(small_config(method="superoperator", **kw))
-        stp = run_ensemble(small_config(method="stepper", **kw))
-        vlt = run_ensemble(
-            small_config(method="volterra-per-realization", grid=TimeGrid(0.01, 400), **kw)
-        )
-        g = 0.1
-        assert np.max(np.abs(sup.simulated[g].values - stp.simulated[g].values)) < 1e-6
-        # compare the volterra run on its finer grid at shared times
-        assert np.max(np.abs(sup.simulated[g].values - vlt.simulated[g].values[::5])) < 1e-4
-        assert np.array_equal(sup.f_lambda.values, vlt.f_lambda.values[::5]) is False  # grids differ
-        assert np.max(np.abs(sup.f_lambda.values - vlt.f_lambda.values[::5])) < 1e-12
-
     def test_worker_count_does_not_change_bits(self):
         cfg = small_config(n_run=7, n_batch=2, gamma_list=(0.05,))
         serial = run_ensemble(cfg, n_jobs=1)
         parallel = run_ensemble(cfg, n_jobs=2)
-        assert serial.method == parallel.method == "superoperator"
         assert np.array_equal(serial.f_lambda.values, parallel.f_lambda.values)
         assert np.array_equal(serial.kernel.values, parallel.kernel.values)
         assert np.array_equal(
@@ -187,9 +168,11 @@ class TestRunEnsemble:
         assert report.f_lambda.stderr_re is None
 
     def test_superoperator_guard_precedes_work(self):
-        # the guard fires when the config is built, before any realization
-        with pytest.raises(ValueError, match="volterra"):
-            small_config(dim=80, method="superoperator", n_run=1000)
+        # master-equation methods are rejected when the config is built, at any dim
+        for method in ("superoperator", "stepper"):
+            for dim in (8, 80):
+                with pytest.raises(ValueError, match="general"):
+                    small_config(dim=dim, method=method, n_run=1000)
 
     def test_rejects_bad_n_jobs(self):
         with pytest.raises(ValueError):
@@ -226,7 +209,7 @@ class TestBatchedChunk:
         cfg = batched_config(beta, state)
         grid, gammas = cfg.grid, cfg.gamma_list
         rho0 = np.eye(8) / 8 if cfg.initial_state is None else cfg.initial_state
-        start, f, k, fg = _chunk_task((cfg, "volterra-per-realization", 0, 30))
+        start, f, k, fg = _chunk_task((cfg, 0, 30))
         assert start == 0 and fg.shape == (30, 3, len(grid))
         for pos in range(30):
             real = build_realization(EnsembleConfig(8, beta, cfg.master_seed, pos))
@@ -241,10 +224,9 @@ class TestBatchedChunk:
 
     def test_chunk_split_is_bit_identical(self, beta, state):
         cfg = batched_config(beta, state)
-        method = "volterra-per-realization"
-        whole = _chunk_task((cfg, method, 0, 30))[1:]
-        head = _chunk_task((cfg, method, 0, 7))[1:]
-        tail = _chunk_task((cfg, method, 7, 23))[1:]
+        whole = _chunk_task((cfg, 0, 30))[1:]
+        head = _chunk_task((cfg, 0, 7))[1:]
+        tail = _chunk_task((cfg, 7, 23))[1:]
         for w, a, b in zip(whole, head, tail):
             assert np.array_equal(w, np.concatenate([a, b]))
 
@@ -252,7 +234,7 @@ class TestBatchedChunk:
         cfg = batched_config(beta, state)
         report = run_ensemble(cfg)
         n_total = cfg.n_batch * cfg.n_run
-        f, k, fg = _chunk_task((cfg, "volterra-per-realization", 0, n_total))[1:]
+        f, k, fg = _chunk_task((cfg, 0, n_total))[1:]
 
         def stats(rows):
             return batch_statistics(rows.reshape((cfg.n_batch, cfg.n_run) + rows.shape[1:]).mean(axis=1))
