@@ -5,9 +5,12 @@
 
 Runs ``simulate`` on the ``fig1`` and ``fig2`` presets with ``n_run`` = 4,
 in CSV and in JSON, then ``theory --kernels`` on each of those outputs.
-Everything goes under OUT: the reduced configs in ``configs/``, and one
-directory per run (``fig1-csv``, ``fig1-csv-theory``, ...).  Paths are
-relative to OUT, so the manifests do not depend on where OUT is.
+Then runs ``general`` (dim 8, GOE, 2 coupling draws, 100 steps) with a delta
+and with an exponential bath kernel, in CSV and in JSON, so the comparison
+also covers ``f_general``'s error columns.  Everything goes under OUT: the
+configs in ``configs/``, and one directory per run (``fig1-csv``,
+``fig1-csv-theory``, ``general-delta-csv``, ...).  Paths are relative to
+OUT, so the manifests do not depend on where OUT is.
 
 To compare two versions, run this once with each version's ``src`` on
 PYTHONPATH, then ``python scripts/compare_outputs.py OUT_A OUT_B``.
@@ -21,6 +24,17 @@ from pathlib import Path
 from echo_gfa.cli import load_config, main
 
 N_RUN = 4
+
+# a small general config; "kernel" is set per run
+GENERAL = {
+    "dim": 8, "beta": 1, "master_seed": 7, "lambda": 0.1,
+    "coupling_strength": 0.1, "n_draws": 2,
+    "grid": {"dt": 0.05, "n_steps": 100},
+}
+KERNELS = {
+    "delta": {"kind": "delta", "c0": 1.0},
+    "exponential": {"kind": "exponential", "tau_c": 0.5, "c0": 1.0},
+}
 
 
 def run(*argv: str) -> None:
@@ -49,4 +63,12 @@ if __name__ == "__main__":
             run(
                 "theory", "--config", str(config), "--out", f"{sim}-theory", "--format", fmt,
                 "--kernels", sim, "--threads", threads,
+            )
+    for name, kernel in KERNELS.items():
+        config = Path("configs") / f"general-{name}.json"
+        config.write_text(json.dumps({**GENERAL, "kernel": kernel}, indent=2, sort_keys=True) + "\n")
+        for fmt in ("csv", "json"):
+            run(
+                "general", "--config", str(config), "--out", f"general-{name}-{fmt}", "--format", fmt,
+                "--threads", threads,
             )

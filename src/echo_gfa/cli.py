@@ -270,10 +270,104 @@ def config_kind(data: dict) -> str:
 _CSV_HEADER = "t,re_f,im_f,re_err,im_err"
 # 17 significant digits: lossless round-trip for binary64
 _CSV_NUMBER = "%.16e"
-# a missing error column is written as zeros
-_CSV_ZERO = _CSV_NUMBER % 0.0
-# rows formatted per write; bounds the text held in memory
+# rows formatted per write; bounds the row table (126 bytes a row) and the
+# formatter's temporaries held in memory
 _CSV_BLOCK_ROWS = 4096
+# bytes of one number in the row table: sign, 17 digits, '.', 'e', exponent
+# sign and two or three exponent digits; unused bytes are NUL
+_FIELD = 24
+# a missing error column is written as zeros
+_ZERO_FIELD = np.frombuffer((_CSV_NUMBER % 0.0).encode().ljust(_FIELD, b"\0"), np.uint8)
+
+# decimal exponents floor(log10|x|) the vectorised formatter decides; the
+# rest, subnormals included, take the per-value fallback
+_P_MAX = 230
+
+
+def _pow10_table():
+    """10**(16 - p) for p = -_P_MAX ... _P_MAX as hi + lo pairs of doubles.
+
+    hi is the power correctly rounded and lo the remainder correctly
+    rounded, both from int arithmetic.
+    """
+    hi, lo = [], []
+    for k in range(16 + _P_MAX, 15 - _P_MAX, -1):
+        if k >= 0:
+            h = float(10**k)
+            hi.append(h)
+            lo.append(float(10**k - int(h)))
+        else:
+            q = 10**-k
+            h = 1 / q
+            a, b = h.as_integer_ratio()
+            hi.append(h)
+            lo.append((b - a * q) / (b * q))
+    return np.array(hi), np.array(lo)
+
+
+_POW10_HI, _POW10_LO = _pow10_table()
+# exponent bytes of p = -_P_MAX ... _P_MAX: sign and two or three digits
+_EXPONENTS = np.frombuffer(
+    "".join(f"{p:+03d}".ljust(4, "\0") for p in range(-_P_MAX, _P_MAX + 1)).encode(), np.uint8
+).reshape(-1, 4).T.copy()
+
+
+def _split(x):
+    """Dekker's split: x = head + tail, each with at most 26 significant bits."""
+    c = 134217729.0 * x  # 2**27 + 1
+    head = c - (c - x)
+    return head, x - head
+
+
+def _format_e16(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the bytes of ``'%.16e' % v`` for each v of x into the columns of out.
+
+    out is a ``(_FIELD, len(x))`` uint8 array; every byte is written, NUL
+    where a number has none.  |v| is scaled by 10**(16 - p), where
+    p = floor(log10|v|), in double-double arithmetic (Dekker's exact product
+    with the table's hi, plus its lo term) and rounded to the 17-digit
+    integer n.  A value this cannot decide exactly (within 1e-6 of a
+    rounding tie, n outside [1e16, 1e17), |p| > _P_MAX, or not finite) is
+    formatted by ``'%.16e' %`` itself, so every byte matches it.
+    """
+    a = np.abs(x)
+    zero = a == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.floor(np.log10(a))
+    ok = np.abs(p) <= _P_MAX  # false for 0, subnormals, inf and nan
+    a = np.where(ok, a, 1.0)
+    p = np.where(ok, p, 0.0).astype(np.int64)
+    scale_hi, scale_lo = _POW10_HI[_P_MAX + p], _POW10_LO[_P_MAX + p]
+    a_head, a_tail = _split(a)
+    s_head, s_tail = _split(scale_hi)
+    hi = a * scale_hi
+    lo = ((a_head * s_head - hi) + a_head * s_tail + a_tail * s_head) + a_tail * s_tail + a * scale_lo
+    whole = np.floor(lo)
+    frac = lo - whole
+    # hi >= 2**53 is an integer, so floor(hi + lo) = hi + whole; a smaller
+    # hi gives n < 1e16, which is rejected
+    n = hi.astype(np.int64) + whole.astype(np.int64)
+    ok &= (n >= 10**16) & (np.abs(frac - 0.5) > 1e-6)
+    n += frac > 0.5
+    # a log10 one ulp off near a power of ten leaves n outside [1e16, 1e17)
+    ok &= n < 10**17
+    n[zero] = 0
+    ok |= zero
+
+    out[0] = np.where(np.signbit(x), ord("-"), 0)
+    for row in range(18, 2, -1):
+        q = n // 10
+        out[row] = n - 10 * q + ord("0")
+        n = q
+    out[1] = n + ord("0")
+    out[2] = ord(".")
+    out[19] = ord("e")
+    # every index is in range; "wrap" writes out directly, "raise" buffers it
+    np.take(_EXPONENTS, _P_MAX + p, axis=1, out=out[20:], mode="wrap")
+    for i in np.flatnonzero(~ok):
+        text = (_CSV_NUMBER % x[i]).encode()
+        out[:, i] = 0
+        out[: len(text), i] = np.frombuffer(text, np.uint8)
 
 
 def gamma_tag(g: float) -> str:
@@ -284,20 +378,23 @@ def write_curve(path: Path, curve: FidelityCurve, fmt: str) -> None:
     """Write a curve as CSV (``\\r\\n`` rows, ``%.16e`` numbers) or JSON."""
     values = curve.values
     if fmt == "csv":
-        columns = [curve.times, values.real, values.imag]
-        fields = [_CSV_NUMBER] * 3
-        for err in (curve.stderr_re, curve.stderr_im):
-            if err is None:
-                fields.append(_CSV_ZERO)
-            else:
-                columns.append(err)
-                fields.append(_CSV_NUMBER)
-        row = ",".join(fields) + "\r\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(_CSV_HEADER + "\r\n")
+        columns = [curve.times, values.real, values.imag, curve.stderr_re, curve.stderr_im]
+        with open(path, "wb") as fh:
+            fh.write(_CSV_HEADER.encode() + b"\r\n")
             for lo in range(0, len(curve), _CSV_BLOCK_ROWS):
-                block = [col[lo : lo + _CSV_BLOCK_ROWS].tolist() for col in columns]
-                fh.write("".join(map(row.__mod__, zip(*block))))
+                rows = min(_CSV_BLOCK_ROWS, len(curve) - lo)
+                # byte j of every row in table[j]: five fields, each followed
+                # by ',' and the last by '\r\n'; NUL bytes are dropped
+                table = np.empty((len(columns) * (_FIELD + 1) + 1, rows), np.uint8)
+                slots = table[:-1].reshape(len(columns), _FIELD + 1, rows)
+                slots[:, _FIELD] = ord(",")
+                table[-2:] = [[ord("\r")], [ord("\n")]]
+                for slot, col in zip(slots, columns):
+                    if col is None:
+                        slot[:_FIELD] = _ZERO_FIELD[:, None]
+                    else:
+                        _format_e16(col[lo : lo + rows], slot[:_FIELD])
+                fh.write(table.T.tobytes().replace(b"\0", b""))
     else:
         zeros = np.zeros(len(curve))
         payload = {
@@ -561,6 +658,7 @@ def cmd_general(args) -> int:
 
 def cmd_validate_config(args) -> int:
     kind, _, resolved = _parse(args)
+    _resolve_threads(args)
     print(f"config OK ({kind}): " + json.dumps(resolved, sort_keys=True))
     return EXIT_OK
 

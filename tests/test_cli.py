@@ -24,6 +24,8 @@ from echo_gfa.curves import FidelityCurve, TimeGrid
 from echo_gfa.echo import EchoSetup, fidelity_curve
 from echo_gfa.rmt import EnsembleConfig, build_realization
 
+from helpers import reference_csv
+
 
 def write_config(path, **overrides):
     data = {
@@ -142,6 +144,40 @@ class TestCurveIO:
             for t, v, e in zip(curve.times, curve.values, curve.stderr_re):
                 writer.writerow([f"{x:.16e}" for x in (t, v.real, v.imag, e, 0.0)])
         assert (tmp_path / "c.csv").read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # exact ties round to even: 1.0000076293945312e+00, 1.0000228881835938e+00
+            [1 + 2**-17, 1 + 3 * 2**-17],
+            [np.nextafter(1.0, 0), np.nextafter(10.0, 0), 1.0, 10.0],
+            # the range of the scale table, and one step past each end
+            10.0 ** np.arange(-231, 232),
+            [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308],
+            # three-digit exponents of both signs
+            [1.5e-123, -2.5e150, 1e100, -9.999999999999999e-101, 1.0000000000000002e-100, 7e299],
+        ],
+        ids=["tie", "below-powers", "powers-of-ten", "extremes", "three-digit-exponents"],
+    )
+    def test_csv_numbers_match_percent_format(self, tmp_path, values):
+        values = np.asarray(values, dtype=float)
+        curve = FidelityCurve(TimeGrid(dt=0.5, n_steps=len(values) - 1), values - 1j * values[::-1])
+        path = tmp_path / "c.csv"
+        write_curve(path, curve, "csv")
+        assert path.read_bytes() == reference_csv(curve)
+
+    def test_long_csv_matches_percent_format(self, tmp_path):
+        # 10 001 rows cross two block boundaries; one error column is missing
+        rng = np.random.default_rng(2)
+        n = 10_001
+        curve = FidelityCurve(
+            TimeGrid(dt=0.01, n_steps=n - 1),
+            rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) + 1j * rng.standard_normal(n),
+            stderr_re=np.abs(rng.standard_normal(n)) * 1e-7,
+        )
+        path = tmp_path / "long.csv"
+        write_curve(path, curve, "csv")
+        assert path.read_bytes() == reference_csv(curve)
 
     def test_reads_lf_only_csv(self, tmp_path):
         path = tmp_path / "lf.csv"
@@ -552,6 +588,17 @@ class TestValidateAndErrors:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["flag-zero", "env-not-an-integer"])
+    def test_bad_thread_setting_rejected(self, tmp_path, monkeypatch, capsys, case):
+        # validate-config checks what simulate would reject
+        argv = ["validate-config", "--config", "fig1.json"]
+        if case == "flag-zero":
+            argv += ["--threads", "0"]
+        else:
+            monkeypatch.setenv(THREADS_ENV, "abc")
+        assert main(argv) == EXIT_CONFIG
+        assert "config OK" not in capsys.readouterr().out
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         from echo_gfa.cli import EXIT_IO
 
@@ -565,18 +612,27 @@ class TestValidateAndErrors:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_import_skips_scipy_interpolate(self):
-        # every command pays for what importing the CLI pulls in
+    @staticmethod
+    def imported_with_cli(module):
+        """Whether importing echo_gfa.cli in a fresh interpreter imports module."""
         import echo_gfa
 
         env = dict(os.environ)
         src = str(Path(echo_gfa.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, echo_gfa.cli; print('scipy.interpolate' in sys.modules)"
+        code = f"import sys, echo_gfa.cli; print({module!r} in sys.modules)"
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip() == "True"
+
+    def test_import_skips_scipy_interpolate(self):
+        # every command pays for what importing the CLI pulls in
+        assert not self.imported_with_cli("scipy.interpolate")
+
+    def test_import_skips_fractions(self):
+        # the CSV writer's scale table is built with int arithmetic
+        assert not self.imported_with_cli("fractions")
 
     def test_console_script_installed(self):
         import shutil

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echo_gfa.cli import write_curve
 from echo_gfa.curves import FidelityCurve, TimeGrid
 from echo_gfa.echo import EchoSetup, fidelity_curve, kernel_curve
 from echo_gfa.rmt import EnsembleConfig, build_realization, sample_gaussian, unfolded_spectrum
 from echo_gfa.volterra import VolterraProblem, convolve, first_order, solve
+
+from helpers import reference_csv
 
 RELAXED = settings(max_examples=25, deadline=None)
 
@@ -143,3 +146,22 @@ def test_time_grid_rejects_bad_length(n):
     else:
         with pytest.raises(ValueError):
             TimeGrid(dt=0.1, n_steps=n)
+
+
+@given(
+    rows=st.lists(
+        # any float64: subnormals, signed zeros, infinities and nan included
+        st.tuples(st.floats(), st.floats(), st.floats(min_value=0.0, allow_infinity=False)),
+        min_size=2, max_size=40,
+    ),
+    dt=st.floats(1e-300, 1e300),
+)
+@settings(max_examples=200, deadline=None)
+def test_csv_writer_matches_percent_format(rows, dt, tmp_path_factory):
+    re, im, err = (np.array(col) for col in zip(*rows))
+    values = re.astype(complex)
+    values.imag = im  # re + 1j * im would turn an infinite im into a nan re
+    curve = FidelityCurve(TimeGrid(dt=dt, n_steps=len(rows) - 1), values, stderr_re=err)
+    path = tmp_path_factory.mktemp("csv") / "c.csv"
+    write_curve(path, curve, "csv")
+    assert path.read_bytes() == reference_csv(curve)
