@@ -26,6 +26,7 @@ from .harness import (
     batch_statistics,
     difference_curve,
     run_ensemble,
+    run_general,
     theory_pipeline,
 )
 from .master import (
@@ -73,6 +74,7 @@ __all__ = [
     "batch_statistics",
     "difference_curve",
     "run_ensemble",
+    "run_general",
     "theory_pipeline",
     "CorrelationKernel",
     "EchoGenerator",

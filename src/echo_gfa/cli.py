@@ -23,31 +23,30 @@ stdout only.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import hashlib
+import itertools
 import json
 import os
 import sys
 import time
-import warnings
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .curves import FidelityCurve, TimeGrid
+from .curveio import ConfigError, _build, gamma_tag, read_curve, write_curve, write_manifest
+from .curves import TimeGrid
 from .harness import (
     ExperimentConfig,
     GeneralConfig,
-    batch_statistics,
     difference_curve,
     run_ensemble,
+    run_general,
     theory_pipeline,
 )
-from .master import CorrelationKernel, general_generator, propagate, rmt_generator, trace_curve
-from .rmt import EnsembleConfig, build_realization, sample_gaussian, stream
+from .master import CorrelationKernel
+from .master import propagate  # noqa: F401  perfbench/tracing.py wraps cli.propagate
+from .rmt import build_realization  # noqa: F401  perfbench/tracing.py wraps cli.build_realization
 from .volterra import VolterraProblem
 
 EXIT_OK = 0
@@ -56,10 +55,6 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 THREADS_ENV = "ECHO_GFA_THREADS"
-
-
-class ConfigError(ValueError):
-    """Invalid or missing configuration."""
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +118,6 @@ def _as_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{key}' must be a number, got {value!r}")
     return float(value)
-
-
-def _build(cls, where: str = "", **kwargs):
-    """Construct a checked dataclass; its ValueError becomes a ConfigError."""
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}{exc}") from exc
 
 
 def _parse_grid(data) -> TimeGrid:
@@ -260,231 +247,6 @@ def parse_general_config(data: dict, base: Path, seed_override=None):
     return config, resolved
 
 
-def config_kind(data: dict) -> str:
-    return "general" if ("coupling_strength" in data or "kernel" in data) else "ensemble"
-
-
-# ---------------------------------------------------------------------------
-# curve serialisation
-
-_CSV_HEADER = "t,re_f,im_f,re_err,im_err"
-# 17 significant digits: lossless round-trip for binary64
-_CSV_NUMBER = "%.16e"
-# rows formatted per write; bounds the row table (126 bytes a row) and the
-# formatter's temporaries held in memory
-_CSV_BLOCK_ROWS = 4096
-# bytes of one number in the row table: sign, 17 digits, '.', 'e', exponent
-# sign and two or three exponent digits; unused bytes are NUL
-_FIELD = 24
-# a missing error column is written as zeros
-_ZERO_FIELD = np.frombuffer((_CSV_NUMBER % 0.0).encode().ljust(_FIELD, b"\0"), np.uint8)
-
-# decimal exponents floor(log10|x|) the vectorised formatter decides; the
-# rest, subnormals included, take the per-value fallback
-_P_MAX = 230
-
-
-def _pow10_table():
-    """10**(16 - p) for p = -_P_MAX ... _P_MAX as hi + lo pairs of doubles.
-
-    hi is the power correctly rounded and lo the remainder correctly
-    rounded, both from int arithmetic.
-    """
-    hi, lo = [], []
-    for k in range(16 + _P_MAX, 15 - _P_MAX, -1):
-        if k >= 0:
-            h = float(10**k)
-            hi.append(h)
-            lo.append(float(10**k - int(h)))
-        else:
-            q = 10**-k
-            h = 1 / q
-            a, b = h.as_integer_ratio()
-            hi.append(h)
-            lo.append((b - a * q) / (b * q))
-    return np.array(hi), np.array(lo)
-
-
-_POW10_HI, _POW10_LO = _pow10_table()
-# exponent bytes of p = -_P_MAX ... _P_MAX: sign and two or three digits
-_EXPONENTS = np.frombuffer(
-    "".join(f"{p:+03d}".ljust(4, "\0") for p in range(-_P_MAX, _P_MAX + 1)).encode(), np.uint8
-).reshape(-1, 4).T.copy()
-
-
-def _split(x):
-    """Dekker's split: x = head + tail, each with at most 26 significant bits."""
-    c = 134217729.0 * x  # 2**27 + 1
-    head = c - (c - x)
-    return head, x - head
-
-
-def _format_e16(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the bytes of ``'%.16e' % v`` for each v of x into the columns of out.
-
-    out is a ``(_FIELD, len(x))`` uint8 array; every byte is written, NUL
-    where a number has none.  |v| is scaled by 10**(16 - p), where
-    p = floor(log10|v|), in double-double arithmetic (Dekker's exact product
-    with the table's hi, plus its lo term) and rounded to the 17-digit
-    integer n.  A value this cannot decide exactly (within 1e-6 of a
-    rounding tie, n outside [1e16, 1e17), |p| > _P_MAX, or not finite) is
-    formatted by ``'%.16e' %`` itself, so every byte matches it.
-    """
-    a = np.abs(x)
-    zero = a == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.floor(np.log10(a))
-    ok = np.abs(p) <= _P_MAX  # false for 0, subnormals, inf and nan
-    a = np.where(ok, a, 1.0)
-    p = np.where(ok, p, 0.0).astype(np.int64)
-    scale_hi, scale_lo = _POW10_HI[_P_MAX + p], _POW10_LO[_P_MAX + p]
-    a_head, a_tail = _split(a)
-    s_head, s_tail = _split(scale_hi)
-    hi = a * scale_hi
-    lo = ((a_head * s_head - hi) + a_head * s_tail + a_tail * s_head) + a_tail * s_tail + a * scale_lo
-    whole = np.floor(lo)
-    frac = lo - whole
-    # hi >= 2**53 is an integer, so floor(hi + lo) = hi + whole; a smaller
-    # hi gives n < 1e16, which is rejected
-    n = hi.astype(np.int64) + whole.astype(np.int64)
-    ok &= (n >= 10**16) & (np.abs(frac - 0.5) > 1e-6)
-    n += frac > 0.5
-    # a log10 one ulp off near a power of ten leaves n outside [1e16, 1e17)
-    ok &= n < 10**17
-    n[zero] = 0
-    ok |= zero
-
-    out[0] = np.where(np.signbit(x), ord("-"), 0)
-    for row in range(18, 2, -1):
-        q = n // 10
-        out[row] = n - 10 * q + ord("0")
-        n = q
-    out[1] = n + ord("0")
-    out[2] = ord(".")
-    out[19] = ord("e")
-    # every index is in range; "wrap" writes out directly, "raise" buffers it
-    np.take(_EXPONENTS, _P_MAX + p, axis=1, out=out[20:], mode="wrap")
-    for i in np.flatnonzero(~ok):
-        text = (_CSV_NUMBER % x[i]).encode()
-        out[:, i] = 0
-        out[: len(text), i] = np.frombuffer(text, np.uint8)
-
-
-def gamma_tag(g: float) -> str:
-    return f"{g:g}"
-
-
-def write_curve(path: Path, curve: FidelityCurve, fmt: str) -> None:
-    """Write a curve as CSV (``\\r\\n`` rows, ``%.16e`` numbers) or JSON."""
-    values = curve.values
-    if fmt == "csv":
-        columns = [curve.times, values.real, values.imag, curve.stderr_re, curve.stderr_im]
-        with open(path, "wb") as fh:
-            fh.write(_CSV_HEADER.encode() + b"\r\n")
-            for lo in range(0, len(curve), _CSV_BLOCK_ROWS):
-                rows = min(_CSV_BLOCK_ROWS, len(curve) - lo)
-                # byte j of every row in table[j]: five fields, each followed
-                # by ',' and the last by '\r\n'; NUL bytes are dropped
-                table = np.empty((len(columns) * (_FIELD + 1) + 1, rows), np.uint8)
-                slots = table[:-1].reshape(len(columns), _FIELD + 1, rows)
-                slots[:, _FIELD] = ord(",")
-                table[-2:] = [[ord("\r")], [ord("\n")]]
-                for slot, col in zip(slots, columns):
-                    if col is None:
-                        slot[:_FIELD] = _ZERO_FIELD[:, None]
-                    else:
-                        _format_e16(col[lo : lo + rows], slot[:_FIELD])
-                fh.write(table.T.tobytes().replace(b"\0", b""))
-    else:
-        zeros = np.zeros(len(curve))
-        payload = {
-            "t": curve.times.tolist(),
-            "re_f": values.real.tolist(),
-            "im_f": values.imag.tolist(),
-            "re_err": (zeros if curve.stderr_re is None else curve.stderr_re).tolist(),
-            "im_err": (zeros if curve.stderr_im is None else curve.stderr_im).tolist(),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
-
-
-def write_curves(out: Path, curves, fmt: str) -> dict:
-    """Write (name, curve) pairs to ``out/<name>.<fmt>``; returns {name: filename}."""
-    ext = "csv" if fmt == "csv" else "json"
-    files = {}
-    for name, curve in curves:
-        files[name] = filename = f"{name}.{ext}"
-        write_curve(out / filename, curve, fmt)
-    return files
-
-
-def read_curve(path: Path) -> FidelityCurve:
-    """Read a curve written by :func:`write_curve` (either format)."""
-    if not path.is_file():
-        raise ConfigError(f"missing kernel input: {path}")
-    if path.suffix == ".json":
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-            t = np.asarray(payload["t"], dtype=float)
-            values = np.asarray(payload["re_f"], dtype=float) + 1j * np.asarray(payload["im_f"], dtype=float)
-            re_err = np.asarray(payload["re_err"], dtype=float)
-            im_err = np.asarray(payload["im_err"], dtype=float)
-        except KeyError as exc:
-            raise ConfigError(f"{path}: missing column {exc}") from exc
-        except (TypeError, ValueError) as exc:  # bad JSON, not an object, not numbers
-            raise ConfigError(f"{path}: {exc}") from exc
-    else:
-        with open(path, newline="") as fh:
-            header = next(csv.reader([fh.readline()]))
-            if header != _CSV_HEADER.split(","):
-                raise ConfigError(f"{path}: unexpected header {header!r}")
-            with warnings.catch_warnings():
-                # an empty body is reported below, not as a numpy warning
-                warnings.simplefilter("ignore", UserWarning)
-                try:
-                    arr = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}: {exc}") from exc
-        if arr.shape[0] < 2:
-            raise ConfigError(f"{path}: need at least two grid points")
-        if arr.shape[1] != 5:
-            raise ConfigError(f"{path}: expected 5 columns, got {arr.shape[1]}")
-        t = arr[:, 0]
-        values = arr[:, 1] + 1j * arr[:, 2]
-        re_err, im_err = arr[:, 3], arr[:, 4]
-    if t.shape[0] < 2 or t[0] != 0.0:
-        raise ConfigError(f"{path}: time column must start at 0")
-    grid = _build(TimeGrid, f"{path}: ", dt=t[1], n_steps=t.shape[0] - 1)
-    if not np.allclose(t, grid.times, rtol=0.0, atol=1e-9 * max(1.0, abs(t[-1]))):
-        raise ConfigError(f"{path}: time column is not a uniform grid")
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"{path}: curve values must be finite")
-    stderr_re = re_err if np.any(re_err) else None
-    stderr_im = im_err if np.any(im_err) else None
-    return _build(
-        FidelityCurve, f"{path}: ", grid=grid, values=values, stderr_re=stderr_re, stderr_im=stderr_im
-    )
-
-
-def write_manifest(out_dir: Path, command: str, fmt: str, resolved: dict, files: dict, extra: dict | None = None) -> None:
-    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    manifest = {
-        "command": command,
-        "format": fmt,
-        "config": resolved,
-        "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
-        "files": files,
-        "package_version": __version__,
-    }
-    if extra:
-        manifest.update(extra)
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -512,7 +274,7 @@ def _parse(args, kind: str | None = None):
     A run command passes the ``kind`` of config it needs.
     """
     data, base = load_config(args.config)
-    found = config_kind(data)
+    found = "general" if ("coupling_strength" in data or "kernel" in data) else "ensemble"
     if kind not in (None, found):
         raise ConfigError(
             f"{args.command} needs a config of kind {kind!r}, got {found!r} "
@@ -532,6 +294,28 @@ def _alpha_map(config: ExperimentConfig) -> dict:
     return {gamma_tag(g): a for g, a in config.alpha().items()}
 
 
+def write_curves(out: Path, curves, fmt: str) -> dict:
+    """Write (name, curve) pairs to ``out/<name>.<fmt>``; returns {name: filename}."""
+    files = {}
+    for name, curve in curves:
+        files[name] = filename = f"{name}.{fmt}"
+        # looked up in this module, where perfbench/tracing.py wraps it
+        write_curve(out / filename, curve, fmt)
+    return files
+
+
+def _theory_curves(f_lambda, kernel, phi, theory, first):
+    """(name, curve) of each theory file, made lazily so a difference curve is freed once written."""
+    yield "f_lambda", f_lambda
+    yield "f_bar", kernel
+    for g in phi:
+        tag = gamma_tag(g)
+        yield f"phi_gamma_{tag}", phi[g]
+        yield f"f_theory_gamma_{tag}", theory[g]
+        yield f"first_order_gamma_{tag}", first[g]
+        yield f"diff_theory_gamma_{tag}", difference_curve(theory[g], f_lambda)
+
+
 def cmd_simulate(args) -> int:
     _, config, resolved = _parse(args, "ensemble")
     threads = _resolve_threads(args)
@@ -540,18 +324,13 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     report = run_ensemble(config, n_jobs=threads)
 
-    curves = [("f_lambda", report.f_lambda), ("f_bar", report.kernel)]
-    for g in config.gamma_list:
-        tag = gamma_tag(g)
-        curves += [
-            (f"f_sim_gamma_{tag}", report.simulated[g]),
-            (f"phi_gamma_{tag}", report.theory_phi[g]),
-            (f"f_theory_gamma_{tag}", report.theory[g]),
-            (f"first_order_gamma_{tag}", report.first_order[g]),
-            (f"diff_sim_gamma_{tag}", report.sim_minus_f[g]),
-            (f"diff_theory_gamma_{tag}", report.theory_minus_f[g]),
-        ]
-    files = write_curves(out, curves, args.format)
+    curves = _theory_curves(report.f_lambda, report.kernel, report.theory_phi, report.theory, report.first_order)
+    simulated = (
+        (f"{prefix}_gamma_{gamma_tag(g)}", by_gamma[g])
+        for g in config.gamma_list
+        for prefix, by_gamma in (("f_sim", report.simulated), ("diff_sim", report.sim_minus_f))
+    )
+    files = write_curves(out, itertools.chain(curves, simulated), args.format)
     write_manifest(out, "simulate", args.format, resolved, files, {"alpha": _alpha_map(config)})
     elapsed = time.perf_counter() - t0
 
@@ -568,15 +347,14 @@ def cmd_theory(args) -> int:
     threads = _resolve_threads(args)
     out = _prepare_out(args)
     fmt = args.format
-    ext = "csv" if fmt == "csv" else "json"
 
     t0 = time.perf_counter()
     if args.kernels is not None:
         kdir = Path(args.kernels)
-        f_lambda = read_curve(kdir / f"f_lambda.{ext}")
-        kernel = read_curve(kdir / f"f_bar.{ext}")
+        f_lambda = read_curve(kdir / f"f_lambda.{fmt}")
+        kernel = read_curve(kdir / f"f_bar.{fmt}")
         # the same grid for both, a kernel starting at 1
-        _build(VolterraProblem, f"{kdir / f'f_bar.{ext}'}: ", f=f_lambda, kernel=kernel, gamma_rate=0.0)
+        _build(VolterraProblem, f"{kdir / f'f_bar.{fmt}'}: ", f=f_lambda, kernel=kernel, gamma_rate=0.0)
         kgrid, cgrid = f_lambda.grid, config.grid
         if kgrid.n_steps != cgrid.n_steps or abs(kgrid.dt - cgrid.dt) > 1e-12 * cgrid.dt:
             raise ConfigError(
@@ -588,20 +366,9 @@ def cmd_theory(args) -> int:
         averages = run_ensemble(dataclasses.replace(config, gamma_list=()), n_jobs=threads)
         f_lambda, kernel = averages.f_lambda, averages.kernel
         source = "ensemble"
-    phi_by_gamma, theory, first = theory_pipeline(f_lambda, kernel, config.gamma_list)
+    phi, theory, first = theory_pipeline(f_lambda, kernel, config.gamma_list)
 
-    def curves():
-        # a generator, so each difference curve is freed once written
-        yield "f_lambda", f_lambda
-        yield "f_bar", kernel
-        for g in config.gamma_list:
-            tag = gamma_tag(g)
-            yield f"phi_gamma_{tag}", phi_by_gamma[g]
-            yield f"f_theory_gamma_{tag}", theory[g]
-            yield f"first_order_gamma_{tag}", first[g]
-            yield f"diff_theory_gamma_{tag}", difference_curve(theory[g], f_lambda)
-
-    files = write_curves(out, curves(), fmt)
+    files = write_curves(out, _theory_curves(f_lambda, kernel, phi, theory, first), fmt)
     write_manifest(
         out, "theory", fmt, resolved, files,
         {"alpha": _alpha_map(config), "kernel_source": source},
@@ -618,39 +385,13 @@ def cmd_general(args) -> int:
         print("general: coupling draws run serially; --threads is ignored", file=sys.stderr)
     out = _prepare_out(args)
 
-    dim, beta, grid = config.dim, config.beta, config.grid
-    env = build_realization(EnsembleConfig(dim, beta, config.master_seed))
-    h_zero = np.diag(env.env_levels).astype(complex)
-    h_lam = h_zero + config.lam * env.perturbation
-    rho0 = config.initial_state
-    if rho0 is None:
-        rho0 = np.eye(dim, dtype=complex) / dim
-
     t0 = time.perf_counter()
-    traces = np.empty((config.n_draws, len(grid)), dtype=complex)
-    for draw in range(config.n_draws):
-        if config.coupling is not None:
-            coupling = config.coupling
-        else:
-            draw_cfg = EnsembleConfig(dim, beta, config.master_seed, draw)
-            coupling = sample_gaussian(dim, beta, stream(draw_cfg, "coupling"))
-        gen = general_generator(h_lam, h_zero, coupling, config.kernel, config.strength)
-        traj = propagate(gen, rho0, grid, method=config.method)
-        traces[draw] = trace_curve(traj).values
-
-    mean, stderr_re, stderr_im = batch_statistics(traces)
-    f_general = FidelityCurve(grid, mean, stderr_re=stderr_re, stderr_im=stderr_im)
-
-    # reduced-equation reference; exact reduction rate for a delta kernel
-    rate = config.strength ** 2 * dim * config.kernel.c0
-    ref_gen = rmt_generator(h_lam, h_zero, rate)
-    reference = trace_curve(propagate(ref_gen, rho0, grid, method=config.method))
-
+    f_general, reference, rate = run_general(config)
     files = write_curves(out, [("f_general", f_general), ("f_rmt_reference", reference)], args.format)
     write_manifest(out, "general", args.format, resolved, files, {"reduction_rate": rate})
     elapsed = time.perf_counter() - t0
     print(
-        f"general: {config.n_draws} draw(s) (dim={dim}, method={config.method}) "
+        f"general: {config.n_draws} draw(s) (dim={config.dim}, method={config.method}) "
         f"in {elapsed:.1f} s -> {out} ({len(files) + 1} files)"
     )
     return EXIT_OK

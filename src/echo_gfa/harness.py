@@ -12,7 +12,7 @@ solves the realization's own integral equation (using that
 tr[M(t) M(tau)^dag] = tr[M(t - tau)]; O(dim^2) per time point).  A worker
 chunk solves all its (realization, Gamma) rows in one batched forward
 substitution.  The reduced master equation gives the same trace; it serves
-``general`` and the gate checks, not the ensemble runner.
+the gate checks and :func:`run_general`, not the ensemble runner.
 
 The theory curves solve the same integral equation once, on the
 batch-averaged inputs <f> and <tr M>/dim.
@@ -28,9 +28,8 @@ import numpy as np
 from . import volterra
 from .curves import FidelityCurve, TimeGrid, check_same_grid
 from .echo import EchoOperator, EchoSetup, check_hermitian
-from .master import CorrelationKernel, check_method
-from .master import propagate  # noqa: F401  perfbench/tracing.py wraps harness.propagate
-from .rmt import EnsembleConfig, build_realization
+from .master import CorrelationKernel, check_method, general_generator, propagate, rmt_generator, trace_curve
+from .rmt import EnsembleConfig, build_realization, sample_gaussian, stream
 
 # both spellings name the one per-realization route
 SIM_METHODS = ("auto", "volterra-per-realization")
@@ -130,7 +129,6 @@ class GeneralConfig:
 class RunReport:
     """Everything a simulate run produces."""
 
-    config: ExperimentConfig
     f_lambda: FidelityCurve
     kernel: FidelityCurve
     simulated: dict[float, FidelityCurve]
@@ -258,7 +256,6 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     theory_minus_f = {g: difference_curve(theory[g], f_lambda) for g in config.gamma_list}
 
     return RunReport(
-        config=config,
         f_lambda=f_lambda,
         kernel=kernel,
         simulated=simulated,
@@ -268,3 +265,31 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
         sim_minus_f=sim_minus_f,
         theory_minus_f=theory_minus_f,
     )
+
+
+def run_general(config: GeneralConfig) -> tuple[FidelityCurve, FidelityCurve, float]:
+    """Born-Markov runs over coupling draws and the reduced-equation reference.
+
+    Returns (f_general, reference, rate): the mean trace curve over the
+    draws with batch-statistics error bars, the trace curve of the reduced
+    master equation at ``rate = strength**2 * dim * c0`` (the exact
+    reduction rate for a delta kernel), and that rate.
+    """
+    dim, beta, grid = config.dim, config.beta, config.grid
+    env = build_realization(EnsembleConfig(dim, beta, config.master_seed))
+    h_zero = np.diag(env.env_levels).astype(complex)
+    h_lam = h_zero + config.lam * env.perturbation
+    rho0 = EchoSetup(config.lam, grid, config.initial_state).state(dim)
+
+    traces = np.empty((config.n_draws, len(grid)), dtype=complex)
+    for draw in range(config.n_draws):
+        coupling = config.coupling
+        if coupling is None:
+            coupling = sample_gaussian(dim, beta, stream(EnsembleConfig(dim, beta, config.master_seed, draw), "coupling"))
+        gen = general_generator(h_lam, h_zero, coupling, config.kernel, config.strength)
+        traces[draw] = trace_curve(propagate(gen, rho0, grid, method=config.method)).values
+    f_general = FidelityCurve(grid, *batch_statistics(traces))
+
+    rate = config.strength ** 2 * dim * config.kernel.c0
+    reference = trace_curve(propagate(rmt_generator(h_lam, h_zero, rate), rho0, grid, method=config.method))
+    return f_general, reference, rate

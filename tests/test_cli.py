@@ -388,14 +388,21 @@ class TestTheory:
         err = capsys.readouterr().err
         assert "n_steps = 80" in err and "n_steps = 40" in err
 
-    @pytest.mark.parametrize("damage", ["truncated", "not-an-object"])
+    @pytest.mark.parametrize("damage", ["truncated", "not-an-object", "scalar-columns", "nested-columns"])
     def test_malformed_json_kernel_is_config_error(self, tmp_path, capsys, damage):
         cfg = write_config(tmp_path / "c.json", n_run=2, n_batch=1)
         kdir = tmp_path / "k"
         assert main(["simulate", "--config", str(cfg), "--out", str(kdir), "--format", "json"]) == EXIT_OK
         path = kdir / "f_lambda.json"
         text = path.read_text()
-        path.write_text(text[: len(text) // 2] if damage == "truncated" else "[" + text + "]")
+        columns = ("t", "re_f", "im_f", "re_err", "im_err")
+        damaged = {
+            "truncated": text[: len(text) // 2],
+            "not-an-object": "[" + text + "]",
+            "scalar-columns": json.dumps({key: i for i, key in enumerate(columns)}),
+            "nested-columns": json.dumps({key: [[0, 1], [2, 3]] for key in columns}),
+        }
+        path.write_text(damaged[damage])
         capsys.readouterr()
         rc = main(
             ["theory", "--config", str(cfg), "--out", str(tmp_path / "o"),

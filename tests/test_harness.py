@@ -1,21 +1,26 @@
-"""Ensemble runner: averaging, error bars, determinism and the batched chunk."""
+"""Ensemble and general runners: averaging, error bars, determinism and the batched chunk."""
 
+import json
 import multiprocessing
 
 import numpy as np
 import pytest
 
 import echo_gfa.harness as harness_mod
+from echo_gfa.cli import EXIT_OK, main, read_curve
 from echo_gfa.curves import FidelityCurve, TimeGrid
 from echo_gfa.echo import EchoOperator
 from echo_gfa.harness import (
     ExperimentConfig,
+    GeneralConfig,
     _chunk_task,
     batch_statistics,
     difference_curve,
     run_ensemble,
+    run_general,
     theory_pipeline,
 )
+from echo_gfa.master import CorrelationKernel
 from echo_gfa.rmt import EnsembleConfig, build_realization
 from echo_gfa.volterra import StepSizeError, solve_many
 
@@ -249,3 +254,36 @@ class TestBatchedChunk:
         same(report.kernel, stats(k))
         for gi, g in enumerate(cfg.gamma_list):
             same(report.simulated[g], stats(fg[:, gi]))
+
+
+class TestRunGeneral:
+    def test_cli_writes_exactly_what_run_general_returns(self, tmp_path):
+        # the general command adds only I/O: its files and manifest hold the
+        # runner's curves, error columns and reduction rate, bit for bit
+        data = {
+            "dim": 4, "beta": 1, "master_seed": 7, "lambda": 0.1, "coupling_strength": 0.3,
+            "kernel": {"kind": "exponential", "tau_c": 0.5, "c0": 1.0},
+            "grid": {"dt": 0.05, "n_steps": 40}, "n_draws": 2,
+        }
+        config = GeneralConfig(
+            dim=4, beta=1, master_seed=7, lam=0.1, strength=0.3,
+            kernel=CorrelationKernel("exponential", c0=1.0, tau_c=0.5),
+            grid=TimeGrid(dt=0.05, n_steps=40), n_draws=2,
+        )
+        f_general, reference, rate = run_general(config)
+        assert f_general.stderr_re is not None and f_general.stderr_im is not None
+
+        cfg = tmp_path / "general.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["general", "--config", str(cfg), "--out", str(out), "--format", "csv"]) == EXIT_OK
+        for name, expected in (("f_general", f_general), ("f_rmt_reference", reference)):
+            back = read_curve(out / f"{name}.csv")
+            assert back.grid == config.grid
+            assert np.array_equal(back.values, expected.values)
+            for got, want in ((back.stderr_re, expected.stderr_re), (back.stderr_im, expected.stderr_im)):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert np.array_equal(got, want)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["reduction_rate"] == rate
