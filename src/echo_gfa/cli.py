@@ -295,10 +295,15 @@ def _alpha_map(config: ExperimentConfig) -> dict:
 
 
 def write_curves(out: Path, curves, fmt: str) -> dict:
-    """Write (name, curve) pairs to ``out/<name>.<fmt>``; returns {name: filename}."""
+    """Write (name, curve) pairs to ``out/<name>.<fmt>``; returns {name: filename}.
+
+    A non-finite value is a numerical failure, raised before its file is written.
+    """
     files = {}
     for name, curve in curves:
         files[name] = filename = f"{name}.{fmt}"
+        if not np.isfinite(curve.values).all():
+            raise FloatingPointError(f"{filename}: the curve has non-finite values")
         # looked up in this module, where perfbench/tracing.py wraps it
         write_curve(out / filename, curve, fmt)
     return files
@@ -326,9 +331,9 @@ def cmd_simulate(args) -> int:
 
     curves = _theory_curves(report.f_lambda, report.kernel, report.theory_phi, report.theory, report.first_order)
     simulated = (
-        (f"{prefix}_gamma_{gamma_tag(g)}", by_gamma[g])
-        for g in config.gamma_list
-        for prefix, by_gamma in (("f_sim", report.simulated), ("diff_sim", report.sim_minus_f))
+        (f"{prefix}_gamma_{gamma_tag(g)}", curve)
+        for g, sim in report.simulated.items()
+        for prefix, curve in (("f_sim", sim), ("diff_sim", difference_curve(sim, report.f_lambda)))
     )
     files = write_curves(out, itertools.chain(curves, simulated), args.format)
     write_manifest(out, "simulate", args.format, resolved, files, {"alpha": _alpha_map(config)})

@@ -14,8 +14,8 @@ chunk solves all its (realization, Gamma) rows in one batched forward
 substitution.  The reduced master equation gives the same trace; it serves
 the gate checks and :func:`run_general`, not the ensemble runner.
 
-The theory curves solve the same integral equation once, on the
-batch-averaged inputs <f> and <tr M>/dim.
+The theory curves solve the same integral equation, for all rates in one
+call, on the batch-averaged inputs <f> and <tr M>/dim.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class GeneralConfig:
 
 @dataclass(eq=False)
 class RunReport:
-    """Everything a simulate run produces."""
+    """Everything a simulate run produces; the difference curves are made each time they are read."""
 
     f_lambda: FidelityCurve
     kernel: FidelityCurve
@@ -135,8 +135,16 @@ class RunReport:
     theory_phi: dict[float, FidelityCurve]
     theory: dict[float, FidelityCurve]
     first_order: dict[float, FidelityCurve]
-    sim_minus_f: dict[float, FidelityCurve]
-    theory_minus_f: dict[float, FidelityCurve]
+
+    @property
+    def sim_minus_f(self) -> dict[float, FidelityCurve]:
+        """f_{lambda,Gamma} - f_lambda per simulated rate."""
+        return {g: difference_curve(c, self.f_lambda) for g, c in self.simulated.items()}
+
+    @property
+    def theory_minus_f(self) -> dict[float, FidelityCurve]:
+        """exp(-Gamma t) phi - f_lambda per theory rate."""
+        return {g: difference_curve(c, self.f_lambda) for g, c in self.theory.items()}
 
 
 def difference_curve(a: FidelityCurve, b: FidelityCurve) -> FidelityCurve:
@@ -177,10 +185,12 @@ def theory_pipeline(f: FidelityCurve, kernel: FidelityCurve, gammas):
     """Solve the integral equation for each Gamma on averaged inputs.
 
     Returns dicts {gamma: phi}, {gamma: exp(-Gamma t) phi} and
-    {gamma: first-order iterate}.  A step-size error names the offending
-    Gamma.
+    {gamma: first-order iterate}.  All rates are solved in one call, each
+    exactly as a single-rate solve gives it.  A step-size error names the
+    offending Gamma.
     """
-    phi = {g: volterra.solve(volterra.VolterraProblem(f, kernel, g)) for g in gammas}
+    rows = volterra.solve_many(f, kernel, gammas)
+    phi = {g: FidelityCurve(f.grid, row) for g, row in zip(gammas, rows)}
     theory = {g: volterra.generalized_fidelity(phi[g], g) for g in gammas}
     first = {g: volterra.first_order(f, kernel, g) for g in gammas}
     return phi, theory, first
@@ -205,10 +215,8 @@ def _chunk_task(args):
             raise RuntimeError(
                 f"realization {start + pos} (master_seed={config.master_seed}) failed: {exc}"
             ) from exc
-    fg_out = np.empty((count, 0, len(grid)), dtype=complex)
-    if gammas:
-        fg_out = volterra.solve_rows(f_out, k_out, gammas, grid.dt)
-        fg_out *= np.exp(-np.outer(gammas, grid.times))
+    fg_out = volterra.solve_rows(f_out, k_out, gammas, grid.dt)
+    fg_out *= np.exp(-np.outer(gammas, grid.times))
     return start, f_out, k_out, fg_out
 
 
@@ -227,7 +235,9 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     # means are those of the stacked rows
     nt, m = len(grid), len(config.gamma_list)
     sums = [np.empty((config.n_batch,) + shape, dtype=complex) for shape in ((nt,), (nt,), (m, nt))]
-    pool = ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else None
+    # a worker per chunk at most; one chunk runs in this process
+    workers = min(n_jobs, len(tasks))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         results = map(_chunk_task, tasks) if pool is None else pool.map(_chunk_task, tasks)
         for start, *parts in results:
@@ -251,20 +261,8 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     f_lambda, kernel = averaged(f_sum), averaged(k_sum)
     simulated = {g: averaged(fg_sum[:, gi, :]) for gi, g in enumerate(config.gamma_list)}
 
-    phi_by_gamma, theory, first = theory_pipeline(f_lambda, kernel, config.gamma_list)
-    sim_minus_f = {g: difference_curve(simulated[g], f_lambda) for g in config.gamma_list}
-    theory_minus_f = {g: difference_curve(theory[g], f_lambda) for g in config.gamma_list}
-
-    return RunReport(
-        f_lambda=f_lambda,
-        kernel=kernel,
-        simulated=simulated,
-        theory_phi=phi_by_gamma,
-        theory=theory,
-        first_order=first,
-        sim_minus_f=sim_minus_f,
-        theory_minus_f=theory_minus_f,
-    )
+    # theory_pipeline returns (phi, theory, first order): the report's last three fields
+    return RunReport(f_lambda, kernel, simulated, *theory_pipeline(f_lambda, kernel, config.gamma_list))
 
 
 def run_general(config: GeneralConfig) -> tuple[FidelityCurve, FidelityCurve, float]:

@@ -44,12 +44,8 @@ class VolterraProblem:
     gamma_rate: float
 
     def __post_init__(self) -> None:
-        check_same_grid(self.f, self.kernel)
-        if not (np.isfinite(self.gamma_rate) and self.gamma_rate >= 0.0):
-            raise ValueError(f"gamma_rate must be >= 0, got {self.gamma_rate!r}")
-        k0 = self.kernel.values[0]
-        if abs(k0 - 1.0) > 1e-12:
-            raise ValueError(f"kernel must start at 1 (normalised trace), got {k0!r}")
+        check_inputs(self.f, self.kernel)
+        check_rates([self.gamma_rate], self.grid.dt)
 
     @property
     def grid(self) -> TimeGrid:
@@ -78,6 +74,15 @@ def convolve(a: FidelityCurve, b: FidelityCurve) -> FidelityCurve:
     return FidelityCurve(grid, out)
 
 
+def check_inputs(f: FidelityCurve, kernel: FidelityCurve) -> TimeGrid:
+    """The common grid of f and kernel; the kernel must start at 1 (normalised trace)."""
+    grid = check_same_grid(f, kernel)
+    k0 = kernel.values[0]
+    if abs(k0 - 1.0) > 1e-12:
+        raise ValueError(f"kernel must start at 1 (normalised trace), got {k0!r}")
+    return grid
+
+
 def check_rates(gammas, dt: float) -> np.ndarray:
     """Rates as a 1-D float array; each must be finite, >= 0 and satisfy Gamma dt / 2 < 1."""
     gammas = np.asarray(gammas, dtype=float)
@@ -98,22 +103,21 @@ def check_rates(gammas, dt: float) -> np.ndarray:
 def _solve_direct(f: np.ndarray, kernel: np.ndarray, gammas: np.ndarray, dt: float) -> np.ndarray:
     """Forward substitution for (n,) or (r, n) rows of (f, kernel) against every Gamma.
 
-    Gives (m, n) or (r, m, n); a row's values do not depend on its batch.
+    Gives (m, n) or (r, m, n).  Each (row, Gamma) pair takes its own dot product per
+    step, so a row's values do not depend on its batch, of rows or of rates.
     """
-    if f.ndim == 1:
-        return _solve_direct(f[None], kernel[None], gammas, dt)[0]
-    n = f.shape[1]
-    h = gammas * dt  # (m,)
+    n = f.shape[-1]
+    h = gammas[:, None] * dt  # (m, 1)
     denom = 1.0 - 0.5 * h
-    krev = kernel[:, ::-1, None].copy()
-    phi = np.empty((f.shape[0], gammas.shape[0], n), dtype=complex)
-    phi[:, :, 0] = f[:, :1]
-    half_k = 0.5 * kernel
+    krev = kernel[..., None, ::-1, None].copy()  # ([r,] 1, n, 1)
+    phi = np.empty(f.shape[:-1] + (gammas.shape[0], 1, n), dtype=complex)
+    phi[..., 0] = f[..., None, :1]
+    half_k = 0.5 * kernel[..., None, :, None]
     for i in range(1, n):
-        # sum_{j=1}^{i-1} kernel[i-j] phi[..., j] as a stacked reversed-kernel product
-        s = (phi[:, :, 1:i] @ krev[:, n - i : n - 1])[:, :, 0] if i > 1 else 0.0
-        phi[:, :, i] = (f[:, i, None] + h * (half_k[:, i, None] * phi[:, :, 0] + s)) / denom
-    return phi
+        # sum_{j=1}^{i-1} kernel[i-j] phi[..., j]: one (1, i-1) @ (i-1, 1) product per (row, Gamma)
+        s = (phi[..., 1:i] @ krev[..., n - i : n - 1, :])[..., 0] if i > 1 else 0.0
+        phi[..., i] = (f[..., None, i, None] + h * (half_k[..., i, :] * phi[..., 0] + s)) / denom
+    return phi[..., 0, :]
 
 
 def _solve_fast(f: np.ndarray, kernel: np.ndarray, gamma: float, dt: float) -> np.ndarray:
@@ -149,11 +153,11 @@ def _solve_fast(f: np.ndarray, kernel: np.ndarray, gamma: float, dt: float) -> n
 def solve_rows(f: np.ndarray, kernel: np.ndarray, gammas, dt: float) -> np.ndarray:
     """phi for (n,) or (r, n) rows of (f, kernel) against every Gamma: (m, n) or (r, m, n).
 
-    Long grids are solved row by row by block recursion, short ones all at once.
+    Long grids are solved row by row by block recursion, short ones all at once; no rates, no solve.
     """
     gammas = check_rates(gammas, dt)
     n = f.shape[-1]
-    if n <= _FAST_THRESHOLD:
+    if n <= _FAST_THRESHOLD and gammas.size:
         return _solve_direct(f, kernel, gammas, dt)
     out = np.empty(f.shape[:-1] + gammas.shape + (n,), dtype=complex)
     for row in np.ndindex(f.shape[:-1]):
@@ -163,8 +167,8 @@ def solve_rows(f: np.ndarray, kernel: np.ndarray, gammas, dt: float) -> np.ndarr
 
 
 def solve_many(f: FidelityCurve, kernel: FidelityCurve, gammas) -> np.ndarray:
-    """phi rows for several Gamma values at once; see :func:`solve`."""
-    grid = check_same_grid(f, kernel)
+    """phi rows for several Gamma values at once, each as a single-rate solve gives it; see :func:`solve`."""
+    grid = check_inputs(f, kernel)
     return solve_rows(f.values, kernel.values, gammas, grid.dt)
 
 
@@ -184,8 +188,7 @@ def generalized_fidelity(phi: FidelityCurve, gamma_rate: float) -> FidelityCurve
     Error bars, if present, are scaled by the same real factor; that is
     exact for a deterministic pointwise product.
     """
-    if not (np.isfinite(gamma_rate) and gamma_rate >= 0.0):
-        raise ValueError(f"gamma_rate must be >= 0, got {gamma_rate!r}")
+    check_rates([gamma_rate], phi.grid.dt)
     damp = np.exp(-gamma_rate * phi.times)
     return FidelityCurve(
         phi.grid,
@@ -197,8 +200,7 @@ def generalized_fidelity(phi: FidelityCurve, gamma_rate: float) -> FidelityCurve
 
 def first_order(f: FidelityCurve, kernel: FidelityCurve, gamma_rate: float) -> FidelityCurve:
     """One Born iteration, exp(-Gamma t) (f + Gamma (fbar * f)); small-Gamma check."""
-    if not (np.isfinite(gamma_rate) and gamma_rate >= 0.0):
-        raise ValueError(f"gamma_rate must be >= 0, got {gamma_rate!r}")
+    check_rates([gamma_rate], f.grid.dt)
     conv = convolve(kernel, f)
     values = np.exp(-gamma_rate * f.times) * (f.values + gamma_rate * conv.values)
     return FidelityCurve(f.grid, values)

@@ -13,6 +13,7 @@ import pytest
 from echo_gfa import __version__
 from echo_gfa.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     THREADS_ENV,
     gamma_tag,
@@ -271,8 +272,18 @@ class TestSimulate:
         main(["simulate", "--config", str(cfg), "--out", str(out2)])
         assert read_payloads(out1) == read_payloads(out2)
 
+    def test_rate_files_do_not_depend_on_other_rates(self, tmp_path):
+        outs = []
+        for gammas in ([0.05, 0.1], [0.1]):
+            cfg = write_config(tmp_path / "c.json", gamma_list=gammas, grid={"dt": 0.05, "n_steps": 200})
+            outs.append(tmp_path / f"out{len(gammas)}")
+            assert main(["simulate", "--config", str(cfg), "--out", str(outs[-1])]) == EXIT_OK
+        for name in ("f_sim_gamma_0.1.csv", "f_theory_gamma_0.1.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_thread_count_does_not_change_bytes(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", n_run=5, n_batch=2)
+        # 40 realizations: two chunks, so three threads start a two-worker pool
+        cfg = write_config(tmp_path / "c.json", n_run=20, n_batch=2)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--config", str(cfg), "--out", str(out1), "--threads", "1"])
         main(["simulate", "--config", str(cfg), "--out", str(out2), "--threads", "3"])
@@ -433,6 +444,22 @@ class TestTheory:
         )
         assert rc == EXIT_CONFIG
         assert f"{name}.csv" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_curve_is_numerical_failure(self, tmp_path, capsys):
+        # f = f_bar = 1 with G dt / 2 = 0.475: phi grows as 2.8^i and overflows to nan
+        cfg = write_config(tmp_path / "c.json", gamma_list=[1.9], grid={"dt": 0.5, "n_steps": 2000})
+        kdir = tmp_path / "k"
+        kdir.mkdir()
+        ones = FidelityCurve(TimeGrid(dt=0.5, n_steps=2000), np.ones(2001, dtype=complex))
+        for name in ("f_lambda", "f_bar"):
+            write_curve(kdir / f"{name}.csv", ones, "csv")
+        out = tmp_path / "o"
+        rc = main(["theory", "--config", str(cfg), "--out", str(out), "--kernels", str(kdir)])
+        assert rc == EXIT_NUMERIC
+        assert "phi_gamma_1.9.csv" in capsys.readouterr().err
+        assert not (out / "phi_gamma_1.9.csv").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_first_order_accuracy_tracks_rate(self, tmp_path):
         # the one-step iterate is near-exact at tiny damping, visibly off at

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import echo_gfa.harness as harness_mod
+import echo_gfa.volterra as volterra_mod
 from echo_gfa.cli import EXIT_OK, main, read_curve
 from echo_gfa.curves import FidelityCurve, TimeGrid
 from echo_gfa.echo import EchoOperator
@@ -118,6 +119,38 @@ class TestTheoryPipeline:
         assert np.array_equal(first[0.0].values, f.values)
         assert np.array_equal(phi[0.0].values, f.values)
 
+    def test_one_solve_for_all_rates(self, monkeypatch):
+        grid = TimeGrid(0.05, 100)
+        f = FidelityCurve(grid, np.cos(grid.times) + 0.0j)
+        k = FidelityCurve(grid, np.exp(-0.05 * grid.times) + 0.0j)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return solve_many(*args)
+
+        monkeypatch.setattr(volterra_mod, "solve_many", counting)
+        phi, theory, first = theory_pipeline(f, k, [0.05, 0.1, 0.4])
+        assert calls == [[0.05, 0.1, 0.4]]
+        assert list(phi) == list(theory) == list(first) == [0.05, 0.1, 0.4]
+
+    def test_no_rates_do_no_solve(self, monkeypatch):
+        grid = TimeGrid(0.05, 100)
+        ones = FidelityCurve(grid, np.ones(101, dtype=complex))
+
+        def fail(*args):
+            raise AssertionError("solved without rates")
+
+        monkeypatch.setattr(volterra_mod, "_solve_direct", fail)
+        assert theory_pipeline(ones, ones, ()) == ({}, {}, {})
+
+    def test_kernel_must_start_at_one(self):
+        grid = TimeGrid(0.05, 100)
+        f = FidelityCurve(grid, np.ones(101, dtype=complex))
+        half = FidelityCurve(grid, np.full(101, 0.5, dtype=complex))
+        with pytest.raises(ValueError, match="kernel"):
+            theory_pipeline(f, half, [0.1])
+
     def test_names_offending_gamma(self):
         grid = TimeGrid(0.5, 10)
         ones = FidelityCurve(grid, np.ones(11, dtype=complex))
@@ -145,7 +178,8 @@ class TestRunEnsemble:
         assert np.max(np.abs(report.theory[0.0].values - report.f_lambda.values)) < 1e-12
 
     def test_worker_count_does_not_change_bits(self):
-        cfg = small_config(n_run=7, n_batch=2, gamma_list=(0.05,))
+        # 40 realizations: two chunks, so two workers share them
+        cfg = small_config(n_run=20, n_batch=2, gamma_list=(0.05,))
         serial = run_ensemble(cfg, n_jobs=1)
         parallel = run_ensemble(cfg, n_jobs=2)
         assert np.array_equal(serial.f_lambda.values, parallel.f_lambda.values)
@@ -156,6 +190,20 @@ class TestRunEnsemble:
         assert np.array_equal(
             serial.simulated[0.05].stderr_re, parallel.simulated[0.05].stderr_re
         )
+
+    def test_one_chunk_starts_no_pool(self, monkeypatch):
+        cfg = small_config(n_run=7, n_batch=2)
+        serial = run_ensemble(cfg, n_jobs=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one chunk")
+
+        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", no_pool)
+        capped = run_ensemble(cfg, n_jobs=2)
+        assert np.array_equal(serial.f_lambda.values, capped.f_lambda.values)
+        for g in cfg.gamma_list:
+            assert np.array_equal(serial.simulated[g].values, capped.simulated[g].values)
+            assert np.array_equal(serial.theory[g].values, capped.theory[g].values)
 
     def test_alpha_map(self):
         alpha = small_config(gamma_list=(0.0, 0.2), lam=0.1).alpha()
