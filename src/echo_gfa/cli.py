@@ -297,15 +297,19 @@ def _alpha_map(config: ExperimentConfig) -> dict:
 def write_curves(out: Path, curves, fmt: str) -> dict:
     """Write (name, curve) pairs to ``out/<name>.<fmt>``; returns {name: filename}.
 
-    A non-finite value is a numerical failure, raised before its file is written.
+    A non-finite value is a numerical failure: the files this call has written are
+    deleted and the error is raised before the failing curve's file is written.
     """
     files = {}
     for name, curve in curves:
-        files[name] = filename = f"{name}.{fmt}"
+        filename = f"{name}.{fmt}"
         if not np.isfinite(curve.values).all():
+            for written in files.values():
+                (out / written).unlink()
             raise FloatingPointError(f"{filename}: the curve has non-finite values")
         # looked up in this module, where perfbench/tracing.py wraps it
         write_curve(out / filename, curve, fmt)
+        files[name] = filename
     return files
 
 

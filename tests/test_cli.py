@@ -63,6 +63,21 @@ def write_general_config(path, **overrides):
     return path
 
 
+def run_overflowing_theory(tmp_path):
+    """theory --kernels on f = f_bar = 1 with G dt / 2 = 0.475: phi grows as 2.8^i and overflows.
+
+    f_lambda and f_bar are written before phi_gamma_1.9 fails.  Returns (exit code, --out).
+    """
+    cfg = write_config(tmp_path / "c.json", gamma_list=[1.9], grid={"dt": 0.5, "n_steps": 2000})
+    kdir = tmp_path / "k"
+    kdir.mkdir()
+    ones = FidelityCurve(TimeGrid(dt=0.5, n_steps=2000), np.ones(2001, dtype=complex))
+    for name in ("f_lambda", "f_bar"):
+        write_curve(kdir / f"{name}.csv", ones, "csv")
+    out = tmp_path / "o"
+    return main(["theory", "--config", str(cfg), "--out", str(out), "--kernels", str(kdir)]), out
+
+
 def read_payloads(out_dir):
     """Data files (not the manifest) as raw bytes, keyed by name."""
     return {
@@ -447,18 +462,17 @@ class TestTheory:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_curve_is_numerical_failure(self, tmp_path, capsys):
-        # f = f_bar = 1 with G dt / 2 = 0.475: phi grows as 2.8^i and overflows to nan
-        cfg = write_config(tmp_path / "c.json", gamma_list=[1.9], grid={"dt": 0.5, "n_steps": 2000})
-        kdir = tmp_path / "k"
-        kdir.mkdir()
-        ones = FidelityCurve(TimeGrid(dt=0.5, n_steps=2000), np.ones(2001, dtype=complex))
-        for name in ("f_lambda", "f_bar"):
-            write_curve(kdir / f"{name}.csv", ones, "csv")
-        out = tmp_path / "o"
-        rc = main(["theory", "--config", str(cfg), "--out", str(out), "--kernels", str(kdir)])
+        rc, out = run_overflowing_theory(tmp_path)
         assert rc == EXIT_NUMERIC
         assert "phi_gamma_1.9.csv" in capsys.readouterr().err
         assert not (out / "phi_gamma_1.9.csv").exists()
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numerical_failure_leaves_no_curve_files(self, tmp_path):
+        rc, out = run_overflowing_theory(tmp_path)
+        assert rc == EXIT_NUMERIC
+        assert not list(out.glob("*.csv"))
         assert not (out / "manifest.json").exists()
 
     def test_first_order_accuracy_tracks_rate(self, tmp_path):

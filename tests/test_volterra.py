@@ -136,6 +136,19 @@ class TestSolve:
         assert np.array_equal(fast[:, 0], rows_f)
         assert np.max(np.abs(fast - direct)) < 1e-12
 
+    @pytest.mark.parametrize("gamma", [0.05, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 9, 10, 301])
+    def test_small_blocks_match_direct(self, monkeypatch, n, gamma):
+        # base blocks of 8 (phi[0] is given, so n points have n - 1 unknowns): n = 9 is
+        # one full block, n = 10 splits into two short ones, n = 301 ends in short
+        # blocks with uneven middle-product lengths
+        monkeypatch.setattr(volterra_mod, "_BASE_BLOCK", 8)
+        grid = TimeGrid(dt=0.02, n_steps=n - 1)
+        f, k = smooth_pair(grid)
+        direct = volterra_mod._solve_direct(f.values, k.values, np.array([gamma]), grid.dt)[0]
+        fast = volterra_mod._solve_fast(f.values, k.values, gamma, grid.dt)
+        assert np.max(np.abs(direct - fast)) < 1e-12 * np.max(np.abs(direct))
+
     def test_solve_many_matches_single_solves(self):
         grid = TimeGrid(dt=0.02, n_steps=500)
         f, k = smooth_pair(grid)
