@@ -7,7 +7,9 @@ Runs ``simulate`` on the ``fig1`` and ``fig2`` presets with ``n_run`` = 4,
 in CSV and in JSON, then ``theory --kernels`` on each of those outputs.
 Then runs ``general`` (dim 8, GOE, 2 coupling draws, 100 steps) with a delta
 and with an exponential bath kernel, in CSV and in JSON, so the comparison
-also covers ``f_general``'s error columns.  Everything goes under OUT: the
+also covers ``f_general``'s error columns, and once more (CSV) at dim 16 with
+the exponential kernel and 400 steps, whose 256 x 256 step matrix is large
+enough for OpenBLAS to run its threads.  Everything goes under OUT: the
 configs in ``configs/``, and one directory per run (``fig1-csv``,
 ``fig1-csv-theory``, ``general-delta-csv``, ...).  Paths are relative to
 OUT, so the manifests do not depend on where OUT is.
@@ -35,6 +37,7 @@ KERNELS = {
     "delta": {"kind": "delta", "c0": 1.0},
     "exponential": {"kind": "exponential", "tau_c": 0.5, "c0": 1.0},
 }
+GENERAL_DIM16 = {**GENERAL, "dim": 16, "grid": {"dt": 0.05, "n_steps": 400}, "kernel": KERNELS["exponential"]}
 
 
 def run(*argv: str) -> None:
@@ -64,11 +67,13 @@ if __name__ == "__main__":
                 "theory", "--config", str(config), "--out", f"{sim}-theory", "--format", fmt,
                 "--kernels", sim, "--threads", threads,
             )
-    for name, kernel in KERNELS.items():
-        config = Path("configs") / f"general-{name}.json"
-        config.write_text(json.dumps({**GENERAL, "kernel": kernel}, indent=2, sort_keys=True) + "\n")
-        for fmt in ("csv", "json"):
+    general = [(f"general-{name}", {**GENERAL, "kernel": kernel}, ("csv", "json")) for name, kernel in KERNELS.items()]
+    general.append(("general-exponential-dim16", GENERAL_DIM16, ("csv",)))
+    for name, data, formats in general:
+        config = Path("configs") / f"{name}.json"
+        config.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        for fmt in formats:
             run(
-                "general", "--config", str(config), "--out", f"general-{name}-{fmt}", "--format", fmt,
+                "general", "--config", str(config), "--out", f"{name}-{fmt}", "--format", fmt,
                 "--threads", threads,
             )

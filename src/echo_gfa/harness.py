@@ -20,6 +20,7 @@ call, on the batch-averaged inputs <f> and <tr M>/dim.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -237,7 +238,12 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     sums = [np.empty((config.n_batch,) + shape, dtype=complex) for shape in ((nt,), (nt,), (m, nt))]
     # a worker per chunk at most; one chunk runs in this process
     workers = min(n_jobs, len(tasks))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # the workers handle floating-point errors as the caller does (np.errstate)
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=functools.partial(np.seterr, **np.geterr())
+        )
     try:
         results = map(_chunk_task, tasks) if pool is None else pool.map(_chunk_task, tasks)
         for start, *parts in results:

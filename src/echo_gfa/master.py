@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 from scipy.linalg import expm
+from scipy.linalg.blas import zgemv
 
 from .curves import FidelityCurve, TimeGrid
 from .echo import Spectral, check_hermitian, check_initial_state
@@ -160,11 +161,41 @@ class EchoGenerator:
     def superoperator(self) -> np.ndarray:
         """Dense matrix L with L vec(rho) = vec(apply(rho)), row-major vec.
 
-        Column k is vec(apply(E_k)) for the k-th unit matrix E_k.
+        Built from Kronecker products in O(d^4): a term A rho B of :meth:`apply`
+        is (A kron B^T) vec(rho), so it adds A[a, i] B[j, b] to L[a d + b, i d + j].
+        The rows of each a are filled in place, with no d^4 temporary, and the terms
+        are combined in :meth:`apply`'s order, so column k is vec(apply(E_k)) for
+        the k-th unit matrix E_k up to how a single complex product is rounded
+        (BLAS and numpy may round it differently).
         """
-        n = self.dim * self.dim
-        columns = self.apply(np.eye(n, dtype=complex).reshape(n, self.dim, self.dim))
-        return np.ascontiguousarray(columns.reshape(n, n).T)
+        d = self.dim
+        l = np.zeros((d, d, d, d), dtype=complex)
+        h_left, h_right = -1j * self.h_lambda, -1j * self.h_zero.T
+        if self.form == "rmt":
+            scale = -self.rate
+        else:
+            scale = -self.strength ** 2
+            v, gl, g0 = self.coupling, self.gamma_lambda, self.gamma_zero
+            v_gl, g0_v = v @ gl, g0 @ v
+        for a in range(d):
+            # rows[b, i, j] = L[a d + b, i d + j]; a left term A rho sits at j = b,
+            # a right term rho B at i = a
+            rows = l[a]
+            np.einsum("bib->ib", rows)[...] += h_left[a, :, None]
+            rows[:, a, :] -= h_right
+            if self.form == "rmt":
+                # rho - tr[rho]/d 1
+                bracket = np.zeros((d, d, d), dtype=complex)
+                bracket[:, a, :] = np.eye(d)
+                np.einsum("ii->i", bracket[a])[...] -= 1.0 / d
+            else:
+                # v gl rho - v rho g0 - gl rho v + rho g0 v
+                bracket = -v[a, None, :, None] * g0.T[:, None, :]
+                np.einsum("bib->ib", bracket)[...] += v_gl[a, :, None]
+                bracket -= gl[a, None, :, None] * v.T[:, None, :]
+                bracket[:, a, :] += g0_v.T
+            rows += scale * bracket
+        return l.reshape(d * d, d * d)
 
 
 def rmt_generator(h_lambda: np.ndarray, h_zero: np.ndarray, rate: float) -> EchoGenerator:
@@ -226,13 +257,20 @@ class Trajectory:
 
 
 def _propagate_superoperator(gen: EchoGenerator, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    # the grid is uniform, so X(t_k) = exp(L dt)^k X(0): one step matrix serves every point
+    """States vec(X(t_k)) = exp(L dt)^k vec(X(0)) on the uniform grid, as (len(grid), d, d).
+
+    One step matrix serves every point; each step is a matrix-vector product on
+    the BLAS that ran ``expm``.
+    """
     step = expm(gen.superoperator() * grid.dt)
+    # step.T is an F-contiguous view, so trans=1 applies step itself without a copy
+    step_t = step.T
     d = gen.dim
     states = np.empty((len(grid), d * d), dtype=complex)
     states[0] = rho0.reshape(-1)
     for k in range(1, len(grid)):
-        np.matmul(step, states[k - 1], out=states[k])
+        # scipy's zgemv, not np.matmul: numpy's own OpenBLAS pool would fight expm's for the cores
+        states[k] = zgemv(1.0, step_t, states[k - 1], trans=1)
     return states.reshape(len(grid), d, d)
 
 
@@ -272,10 +310,10 @@ def propagate(
 ) -> Trajectory:
     """Integrate the master equation from a density matrix over a grid.
 
-    ``superoperator`` builds one exact step matrix expm(L dt) from the dense
-    generator L (dims up to 64) and applies it once per grid step; it needs
-    no eigenbasis, so defective generators are handled too.  ``stepper`` is
-    adaptive RK45.
+    ``superoperator`` builds one exact step matrix expm(L dt) from the dense,
+    Kronecker-built generator L (dims up to 64) and applies it once per grid
+    step; it needs no eigenbasis, so defective generators are handled too.
+    ``stepper`` is adaptive RK45.
     """
     check_method(method, generator.dim)
     matrix = np.asarray(getattr(rho0, "matrix", rho0), dtype=complex)

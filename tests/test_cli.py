@@ -460,7 +460,7 @@ class TestTheory:
         assert rc == EXIT_CONFIG
         assert f"{name}.csv" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_curve_is_numerical_failure(self, tmp_path, capsys):
         rc, out = run_overflowing_theory(tmp_path)
         assert rc == EXIT_NUMERIC
@@ -468,7 +468,7 @@ class TestTheory:
         assert not (out / "phi_gamma_1.9.csv").exists()
         assert not (out / "manifest.json").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numerical_failure_leaves_no_curve_files(self, tmp_path):
         rc, out = run_overflowing_theory(tmp_path)
         assert rc == EXIT_NUMERIC

@@ -170,6 +170,27 @@ class TestGenerators:
         via_l = (gen.superoperator() @ rho.reshape(-1)).reshape(5, 5)
         assert np.max(np.abs(via_l - gen.apply(rho))) < 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 3, 7])
+    @pytest.mark.parametrize("beta", [1, 2])
+    @pytest.mark.parametrize("form", ["rmt", "delta", "exponential"])
+    def test_superoperator_matches_apply_on_unit_matrices(self, form, beta, dim):
+        # the Kronecker-built L against its definition: column k is vec(apply(E_k))
+        real = make_realization(dim=dim, beta=beta, seed=31)
+        # a full h0 (complex for beta = 2) tells h0 from its transpose
+        h0 = real.perturbation
+        h_lam = np.diag(real.env_levels) + 0.2 * real.perturbation
+        if form == "rmt":
+            gen = rmt_generator(h_lam, h0, rate=0.3)
+        else:
+            v = sample_gaussian(dim, beta, np.random.default_rng(dim))
+            kernel = CorrelationKernel.delta(1.0) if form == "delta" else CorrelationKernel.exponential(tau_c=0.5)
+            gen = general_generator(h_lam, h0, v, kernel, strength=0.4)
+        n = dim * dim
+        expected = gen.apply(np.eye(n, dtype=complex).reshape(n, dim, dim)).reshape(n, n).T
+        l = gen.superoperator()
+        assert l.shape == (n, n)
+        assert np.max(np.abs(l - expected)) <= 1e-15 * np.max(np.abs(expected))
+
     def test_rmt_trace_dynamics(self):
         # d/dt tr X = -i lam tr[V X]; the damping term is traceless
         real = make_realization(dim=7)
@@ -305,6 +326,27 @@ class TestPropagate:
         for k in (1, 10, 100, 1000, 5000):
             exact = expm(l * grid.times[k]) @ rho0.reshape(-1)
             assert np.max(np.abs(states[k].reshape(-1) - exact)) < 1e-12
+
+    def test_steps_apply_the_step_matrix_not_its_transpose(self):
+        # a non-normal generator tells step from step^T: the stepped states must be
+        # those of plain matrix-vector products with expm(L dt)
+        dim = 4
+        rng = np.random.default_rng(37)
+        h0 = random_hermitian(dim, rng)
+        v = random_hermitian(dim, rng)
+        gen = general_generator(
+            h0 + 0.3 * v, h0, v, CorrelationKernel.exponential(tau_c=0.5), strength=0.5
+        )
+        grid = TimeGrid(dt=0.1, n_steps=50)
+        step = expm(gen.superoperator() * grid.dt)
+        assert np.max(np.abs(step - step.T)) > 1e-2
+        rho0 = random_density(dim, rng)
+        expected = np.empty((len(grid), dim * dim), dtype=complex)
+        expected[0] = rho0.reshape(-1)
+        for k in range(1, len(grid)):
+            expected[k] = np.matmul(step, expected[k - 1])
+        states = _propagate_superoperator(gen, rho0, grid).reshape(len(grid), -1)
+        assert np.max(np.abs(states - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_superoperator_dim_guard(self):
         dim = 70
