@@ -47,7 +47,7 @@ from .harness import (
 from .master import CorrelationKernel
 from .master import propagate  # noqa: F401  perfbench/tracing.py wraps cli.propagate
 from .rmt import build_realization  # noqa: F401  perfbench/tracing.py wraps cli.build_realization
-from .volterra import VolterraProblem
+from .volterra import check_inputs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -182,6 +182,13 @@ def _read_shared(data: dict, base: Path, seed_override):
     return kwargs, resolved
 
 
+def _optional(data: dict, count: str) -> dict:
+    """``count`` and 'method' if ``data`` has them; absent keys take the dataclass defaults."""
+    if count in data:
+        _as_int(data[count], count)
+    return {key: data[key] for key in (count, "method") if key in data}
+
+
 _ENSEMBLE_KEYS = _SHARED_KEYS + ("gamma_list", "n_run", "n_batch", "method")
 _GENERAL_KEYS = _SHARED_KEYS + ("coupling_strength", "kernel", "n_draws", "method", "coupling_file")
 
@@ -195,18 +202,13 @@ def parse_ensemble_config(data: dict, base: Path, seed_override=None):
         raise ConfigError("'gamma_list' must be a non-empty list of rates")
     gammas = [_as_float(g, "gamma_list entry") for g in raw_gammas]
     n_run = _as_int(_require(data, "n_run", "config"), "n_run")
-    n_batch = _as_int(data.get("n_batch", 3), "n_batch")
-    method = data.get("method", "auto")
-    config = _build(
-        ExperimentConfig, **shared, gamma_list=tuple(gammas),
-        n_run=n_run, n_batch=n_batch, method=method,
-    )
+    config = _build(ExperimentConfig, **shared, gamma_list=tuple(gammas), n_run=n_run, **_optional(data, "n_batch"))
     tags = {}
     for g in config.gamma_list:
         other = tags.setdefault(gamma_tag(g), g)
         if other != g:
             raise ConfigError(f"gamma_list rates {other!r} and {g!r} share the file tag '{gamma_tag(g)}'")
-    resolved.update(gamma_list=gammas, n_run=n_run, n_batch=n_batch, method=method)
+    resolved.update(gamma_list=gammas, n_run=n_run, n_batch=config.n_batch, method=config.method)
     return config, resolved
 
 
@@ -229,20 +231,20 @@ def parse_general_config(data: dict, base: Path, seed_override=None):
         resolved_kernel = {"kind": kind, "tau_c": tau_c}
     else:
         raise ConfigError(f"'kernel.kind' must be 'delta' or 'exponential', got {kind!r}")
-    resolved_kernel["c0"] = _as_float(kdata.get("c0", 1.0), "kernel.c0")
+    if "c0" in kdata:
+        resolved_kernel["c0"] = _as_float(kdata["c0"], "kernel.c0")
     kernel = _build(CorrelationKernel, "config.kernel: ", **resolved_kernel)
+    resolved_kernel["c0"] = kernel.c0
 
-    n_draws = _as_int(data.get("n_draws", 1), "n_draws")
-    method = data.get("method", "superoperator")
     coupling_file = data.get("coupling_file")
     coupling = None if coupling_file is None else _load_matrix(coupling_file, "coupling_file", base)
     config = _build(
-        GeneralConfig, **shared, strength=strength, kernel=kernel,
-        n_draws=n_draws, method=method, coupling=coupling,
+        GeneralConfig, **shared, strength=strength, kernel=kernel, coupling=coupling,
+        **_optional(data, "n_draws"),
     )
     resolved.update(
-        coupling_strength=strength, kernel=resolved_kernel, n_draws=n_draws,
-        method=method, coupling_file=coupling_file,
+        coupling_strength=strength, kernel=resolved_kernel, n_draws=config.n_draws,
+        method=config.method, coupling_file=coupling_file,
     )
     return config, resolved
 
@@ -363,7 +365,7 @@ def cmd_theory(args) -> int:
         f_lambda = read_curve(kdir / f"f_lambda.{fmt}")
         kernel = read_curve(kdir / f"f_bar.{fmt}")
         # the same grid for both, a kernel starting at 1
-        _build(VolterraProblem, f"{kdir / f'f_bar.{fmt}'}: ", f=f_lambda, kernel=kernel, gamma_rate=0.0)
+        _build(check_inputs, f"{kdir / f'f_bar.{fmt}'}: ", f=f_lambda, kernel=kernel)
         kgrid, cgrid = f_lambda.grid, config.grid
         if kgrid.n_steps != cgrid.n_steps or abs(kgrid.dt - cgrid.dt) > 1e-12 * cgrid.dt:
             raise ConfigError(

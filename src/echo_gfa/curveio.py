@@ -23,7 +23,7 @@ class ConfigError(ValueError):
 
 
 def _build(cls, where: str = "", **kwargs):
-    """Construct a checked dataclass; its ValueError becomes a ConfigError."""
+    """Construct a checked dataclass, or run a check; its ValueError becomes a ConfigError."""
     try:
         return cls(**kwargs)
     except ValueError as exc:

@@ -2,7 +2,8 @@
 
 The object evolved here is X(t) = U_lam(t) rho U_0(t)^dag: it starts as a
 proper density matrix but is *not* trace preserving -- its trace is the
-fidelity amplitude.  Two generator forms are supported:
+fidelity amplitude.  One :class:`EchoGenerator` holds either of two forms,
+as terms A X B plus an isotropic damping rate:
 
 general (Born-Markov, second order in the far-bath coupling gamma)::
 
@@ -131,28 +132,29 @@ def gamma_operator(kernel: CorrelationKernel, spectral: Spectral, coupling: np.n
 
 @dataclass(eq=False)
 class EchoGenerator:
-    """Right-hand side of the echo master equation, in either form."""
+    """Right-hand side -i (H_lam X - X H_0) + sum_k A_k X B_k - rate (X - tr[X]/dim 1).
 
-    form: str  # "general" | "rmt"
+    ``terms`` holds the (A_k, B_k) pairs, ``None`` standing for an identity factor.
+    """
+
     h_lambda: np.ndarray
     h_zero: np.ndarray
+    terms: tuple = ()
     rate: float = 0.0
-    strength: float = 0.0
-    coupling: np.ndarray | None = None
-    gamma_lambda: np.ndarray | None = None
-    gamma_zero: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return self.h_lambda.shape[0]
 
     def dissipator(self, rho: np.ndarray) -> np.ndarray:
-        if self.form == "rmt":
+        out = np.zeros(np.shape(rho), dtype=complex)
+        for a, b in self.terms:
+            x = rho if a is None else a @ rho
+            out += x if b is None else x @ b
+        if self.rate:
             trace = np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
-            return -self.rate * (rho - (trace / self.dim) * np.eye(self.dim))
-        g2 = self.strength ** 2
-        v, gl, g0 = self.coupling, self.gamma_lambda, self.gamma_zero
-        return -g2 * (v @ (gl @ rho) - v @ (rho @ g0) - gl @ (rho @ v) + (rho @ g0) @ v)
+            out -= self.rate * (rho - (trace / self.dim) * np.eye(self.dim))
+        return out
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """The right-hand side at one (d, d) state or a stack (..., d, d) of them."""
@@ -161,40 +163,31 @@ class EchoGenerator:
     def superoperator(self) -> np.ndarray:
         """Dense matrix L with L vec(rho) = vec(apply(rho)), row-major vec.
 
-        Built from Kronecker products in O(d^4): a term A rho B of :meth:`apply`
-        is (A kron B^T) vec(rho), so it adds A[a, i] B[j, b] to L[a d + b, i d + j].
-        The rows of each a are filled in place, with no d^4 temporary, and the terms
-        are combined in :meth:`apply`'s order, so column k is vec(apply(E_k)) for
-        the k-th unit matrix E_k up to how a single complex product is rounded
-        (BLAS and numpy may round it differently).
+        Built from Kronecker products in O(d^4): a term A rho B is
+        (A kron B^T) vec(rho), so it adds A[a, i] B[j, b] to L[a d + b, i d + j].
+        The Hamiltonian pair and ``terms`` are read as :meth:`apply` reads
+        them, and the rows of each a are filled in place, with no d^4 temporary.
         """
         d = self.dim
         l = np.zeros((d, d, d, d), dtype=complex)
-        h_left, h_right = -1j * self.h_lambda, -1j * self.h_zero.T
-        if self.form == "rmt":
-            scale = -self.rate
-        else:
-            scale = -self.strength ** 2
-            v, gl, g0 = self.coupling, self.gamma_lambda, self.gamma_zero
-            v_gl, g0_v = v @ gl, g0 @ v
+        terms = ((-1j * self.h_lambda, None), (None, 1j * self.h_zero)) + self.terms
         for a in range(d):
-            # rows[b, i, j] = L[a d + b, i d + j]; a left term A rho sits at j = b,
-            # a right term rho B at i = a
+            # rows[b, i, j] = L[a d + b, i d + j]; a left-only term sits at j = b,
+            # a right-only term at i = a
             rows = l[a]
-            np.einsum("bib->ib", rows)[...] += h_left[a, :, None]
-            rows[:, a, :] -= h_right
-            if self.form == "rmt":
-                # rho - tr[rho]/d 1
-                bracket = np.zeros((d, d, d), dtype=complex)
-                bracket[:, a, :] = np.eye(d)
-                np.einsum("ii->i", bracket[a])[...] -= 1.0 / d
-            else:
-                # v gl rho - v rho g0 - gl rho v + rho g0 v
-                bracket = -v[a, None, :, None] * g0.T[:, None, :]
-                np.einsum("bib->ib", bracket)[...] += v_gl[a, :, None]
-                bracket -= gl[a, None, :, None] * v.T[:, None, :]
-                bracket[:, a, :] += g0_v.T
-            rows += scale * bracket
+            for left, right in terms:
+                if right is None:
+                    np.einsum("bib->ib", rows)[...] += left[a, :, None]
+                elif left is None:
+                    rows[:, a, :] += right.T
+                else:
+                    rows += left[a, None, :, None] * right.T[:, None, :]
+            if self.rate:
+                # -rate (rho - tr[rho]/d 1): rho at i = a, j = b meets tr[rho] 1 at i = j = a
+                unit = np.eye(d)
+                unit[a, a] -= 1.0 / d
+                rows[:, a, :] -= self.rate * unit
+                np.einsum("ii->i", rows[a])[...] += self.rate * (1.0 / d) * (np.arange(d) != a)
         return l.reshape(d * d, d * d)
 
 
@@ -203,36 +196,25 @@ def rmt_generator(h_lambda: np.ndarray, h_zero: np.ndarray, rate: float) -> Echo
     h_lambda, h_zero = _check_hamiltonians(h_lambda, h_zero)
     if not (np.isfinite(rate) and rate >= 0.0):
         raise ValueError(f"damping rate must be >= 0, got {rate!r}")
-    return EchoGenerator(form="rmt", h_lambda=h_lambda, h_zero=h_zero, rate=float(rate))
+    return EchoGenerator(h_lambda, h_zero, rate=float(rate))
 
 
-def general_generator(
-    h_lambda: np.ndarray,
-    h_zero: np.ndarray,
-    coupling: np.ndarray,
-    kernel: CorrelationKernel,
-    strength: float,
-) -> EchoGenerator:
-    """Born-Markov generator; evaluates both bath transforms up front."""
+def general_generator(h_lambda: np.ndarray, h_zero: np.ndarray, coupling: np.ndarray,
+                      kernel: CorrelationKernel, strength: float) -> EchoGenerator:
+    """Born-Markov generator: both bath transforms up front, and the dissipator as four terms."""
     h_lambda, h_zero = _check_hamiltonians(h_lambda, h_zero)
     if not np.isfinite(strength):
         raise ValueError(f"coupling strength must be finite, got {strength!r}")
-    gl = gamma_operator(kernel, Spectral.from_matrix(h_lambda), coupling)
-    g0 = gamma_operator(kernel, Spectral.from_matrix(h_zero), coupling)
-    return EchoGenerator(
-        form="general",
-        h_lambda=h_lambda,
-        h_zero=h_zero,
-        strength=float(strength),
-        coupling=np.asarray(coupling, dtype=complex),
-        gamma_lambda=gl,
-        gamma_zero=g0,
-    )
+    v = np.asarray(coupling, dtype=complex)
+    gl = gamma_operator(kernel, Spectral.from_matrix(h_lambda), v)
+    g0 = gamma_operator(kernel, Spectral.from_matrix(h_zero), v)
+    g2 = float(strength) ** 2
+    terms = ((-g2 * (v @ gl), None), (g2 * v, g0), (g2 * gl, v), (None, -g2 * (g0 @ v)))
+    return EchoGenerator(h_lambda, h_zero, terms)
 
 
 def _check_hamiltonians(h_lambda: np.ndarray, h_zero: np.ndarray):
-    h_lambda = np.asarray(h_lambda, dtype=complex)
-    h_zero = np.asarray(h_zero, dtype=complex)
+    h_lambda, h_zero = np.asarray(h_lambda, dtype=complex), np.asarray(h_zero, dtype=complex)
     for name, h in (("h_lambda", h_lambda), ("h_zero", h_zero)):
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError(f"{name} must be square, got shape {h.shape}")

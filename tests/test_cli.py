@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: files, determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,11 +19,15 @@ from echo_gfa.cli import (
     THREADS_ENV,
     gamma_tag,
     main,
+    parse_ensemble_config,
+    parse_general_config,
     read_curve,
     write_curve,
 )
 from echo_gfa.curves import FidelityCurve, TimeGrid
 from echo_gfa.echo import EchoSetup, fidelity_curve
+from echo_gfa.harness import ExperimentConfig, GeneralConfig
+from echo_gfa.master import CorrelationKernel
 from echo_gfa.rmt import EnsembleConfig, build_realization
 
 from helpers import reference_csv
@@ -625,6 +630,30 @@ class TestValidateAndErrors:
         else:
             cfg = write_config(tmp_path / "c.json", dim=80, method="superoperator")
         assert main(["validate-config", "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("kind", ["ensemble", "general"])
+    def test_omitted_optional_keys_take_dataclass_defaults(self, tmp_path, kind):
+        # the parser holds no defaults of its own: the config and the resolved dict read them
+        # from the dataclass fields
+        def defaults(cls):
+            return {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+
+        if kind == "ensemble":
+            cfg = write_config(tmp_path / "c.json", n_batch=None, method=None)
+            cls, parse, count = ExperimentConfig, parse_ensemble_config, "n_batch"
+        else:
+            cfg = write_general_config(tmp_path / "g.json", kernel={"kind": "delta"}, n_draws=None)
+            cls, parse, count = GeneralConfig, parse_general_config, "n_draws"
+        config, resolved = parse(json.loads(cfg.read_text()), tmp_path)
+        expected = defaults(cls)
+        assert {count, "method", "initial_state"} <= set(expected)
+        for name, default in expected.items():
+            assert getattr(config, name) == default, name
+        for name in (count, "method"):
+            assert resolved[name] == expected[name]
+        if kind == "general":
+            c0 = defaults(CorrelationKernel)["c0"]
+            assert config.kernel.c0 == c0 and resolved["kernel"]["c0"] == c0
 
     def test_colliding_rate_tags_rejected(self, tmp_path, capsys):
         # both rates would be written as *_gamma_0.1.csv

@@ -191,6 +191,33 @@ class TestGenerators:
         assert l.shape == (n, n)
         assert np.max(np.abs(l - expected)) <= 1e-15 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("dim", [3, 8])
+    @pytest.mark.parametrize("beta", [1, 2])
+    @pytest.mark.parametrize("form", ["rmt", "delta", "exponential"])
+    def test_dissipator_matches_its_formula(self, form, beta, dim, stacked):
+        # the generator's terms against the master equation written out from gamma_operator
+        rng = np.random.default_rng(10 * dim + beta)
+        h0 = sample_gaussian(dim, beta, rng)
+        v = sample_gaussian(dim, beta, rng)
+        h_lam = h0 + 0.2 * sample_gaussian(dim, beta, rng)
+        rho = np.stack([random_density(dim, rng) for _ in range(3)]) if stacked else random_density(dim, rng)
+        if form == "rmt":
+            rate = 0.3
+            gen = rmt_generator(h_lam, h0, rate)
+            trace = np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+            expected = -rate * (rho - trace / dim * np.eye(dim))
+        else:
+            kernel = CorrelationKernel.delta(1.0) if form == "delta" else CorrelationKernel.exponential(tau_c=0.5)
+            strength = 0.4
+            gen = general_generator(h_lam, h0, v, kernel, strength)
+            gl = gamma_operator(kernel, Spectral.from_matrix(h_lam), v)
+            g0 = gamma_operator(kernel, Spectral.from_matrix(h0), v)
+            expected = -strength**2 * (v @ gl @ rho - v @ rho @ g0 - gl @ rho @ v + rho @ g0 @ v)
+        got = gen.dissipator(rho)
+        assert got.shape == rho.shape
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
     def test_rmt_trace_dynamics(self):
         # d/dt tr X = -i lam tr[V X]; the damping term is traceless
         real = make_realization(dim=7)
