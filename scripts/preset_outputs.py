@@ -9,10 +9,15 @@ Then runs ``general`` (dim 8, GOE, 2 coupling draws, 100 steps) with a delta
 and with an exponential bath kernel, in CSV and in JSON, so the comparison
 also covers ``f_general``'s error columns, and once more (CSV) at dim 16 with
 the exponential kernel and 400 steps, whose 256 x 256 step matrix is large
-enough for OpenBLAS to run its threads.  Everything goes under OUT: the
-configs in ``configs/``, and one directory per run (``fig1-csv``,
-``fig1-csv-theory``, ``general-delta-csv``, ...).  Paths are relative to
-OUT, so the manifests do not depend on where OUT is.
+enough for OpenBLAS to run its threads.  Last, it runs ``theory --kernels``
+(CSV) on closed-form curves f_lambda = exp(-0.03 t) cos(t) and
+fbar = exp(-0.05 t) cos(1.3 t) with 5001 points.  The presets' 601 points
+stay on the direct Volterra path; these reach the divide-and-conquer path,
+whose FFT middle products then take lengths that are not powers of two.
+Everything goes under OUT: the configs in ``configs/``, the generated curves
+in ``long-kernels/``, and one directory per run (``fig1-csv``,
+``fig1-csv-theory``, ``general-delta-csv``, ..., ``long-theory-csv``).
+Paths are relative to OUT, so the manifests do not depend on where OUT is.
 
 To compare two versions, run this once with each version's ``src`` on
 PYTHONPATH, then ``python scripts/compare_outputs.py OUT_A OUT_B``.
@@ -23,7 +28,10 @@ import json
 import os
 from pathlib import Path
 
-from echo_gfa.cli import load_config, main
+import numpy as np
+
+from echo_gfa.cli import load_config, main, write_curve
+from echo_gfa.curves import FidelityCurve, TimeGrid
 
 N_RUN = 4
 
@@ -38,6 +46,12 @@ KERNELS = {
     "exponential": {"kind": "exponential", "tau_c": 0.5, "c0": 1.0},
 }
 GENERAL_DIM16 = {**GENERAL, "dim": 16, "grid": {"dt": 0.05, "n_steps": 400}, "kernel": KERNELS["exponential"]}
+# above the 2^11-point threshold of the divide-and-conquer Volterra solver
+LONG_GRID = TimeGrid(dt=0.01, n_steps=5000)
+LONG_THEORY = {
+    "dim": 50, "beta": 1, "master_seed": 1, "lambda": 0.1, "gamma_list": [0.05, 0.2],
+    "grid": {"dt": LONG_GRID.dt, "n_steps": LONG_GRID.n_steps}, "n_run": 1, "n_batch": 1,
+}
 
 
 def run(*argv: str) -> None:
@@ -77,3 +91,14 @@ if __name__ == "__main__":
                 "general", "--config", str(config), "--out", f"{name}-{fmt}", "--format", fmt,
                 "--threads", threads,
             )
+    kernels = Path("long-kernels")
+    kernels.mkdir(exist_ok=True)
+    t = LONG_GRID.times
+    for name, a, omega in (("f_lambda", 0.03, 1.0), ("f_bar", 0.05, 1.3)):
+        write_curve(kernels / f"{name}.csv", FidelityCurve(LONG_GRID, np.exp(-a * t) * np.cos(omega * t)), "csv")
+    config = Path("configs") / "long-theory.json"
+    config.write_text(json.dumps(LONG_THEORY, indent=2, sort_keys=True) + "\n")
+    run(
+        "theory", "--config", str(config), "--out", "long-theory-csv", "--format", "csv",
+        "--kernels", str(kernels), "--threads", threads,
+    )

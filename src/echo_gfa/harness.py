@@ -21,7 +21,6 @@ call, on the batch-averaged inputs <f> and <tr M>/dim.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,6 +239,9 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     workers = min(n_jobs, len(tasks))
     pool = None
     if workers > 1:
+        # imported here, so a run that starts no workers does not load the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         # the workers handle floating-point errors as the caller does (np.errstate)
         pool = ProcessPoolExecutor(
             max_workers=workers, initializer=functools.partial(np.seterr, **np.geterr())

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import expm
 from scipy.linalg.blas import zgemv
 
@@ -263,6 +262,9 @@ def _propagate_stepper(
     rtol: float,
     atol: float,
 ) -> np.ndarray:
+    # only this method needs scipy.integrate, which alone imports ~230 modules
+    from scipy import integrate
+
     d = gen.dim
 
     def rhs(t, y):

@@ -17,14 +17,20 @@ solves each base block by one triangular solve against a Toeplitz matrix
 built once, and folds each solved half into the next by one FFT middle
 product: a cyclic convolution just long enough that the outputs it needs do
 not wrap.
+
+Every FFT is ``numpy.fft``'s, padded to the length :func:`_next_fast_len`
+picks.  That is the length ``scipy.fft`` would pick, and both run the same
+pocketfft code, so the sizes and hence the bits match scipy's without the
+cost of importing ``scipy.fft`` (and ``scipy.special`` with it).
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 from scipy.linalg import solve_triangular
 
 from .curves import FidelityCurve, TimeGrid, check_same_grid
@@ -56,16 +62,40 @@ class VolterraProblem:
         return self.f.grid
 
 
+# cached: the fast solver asks for a length at every split, and one table serves them all
+@functools.cache
+def _smooth_numbers(bits: int) -> list[int]:
+    """The 11-smooth integers (no prime factor above 11) up to 2**bits, sorted."""
+    limit = 1 << bits
+    nums = [1]
+    for p in (2, 3, 5, 7, 11):
+        for x in nums[:]:
+            x *= p
+            while x <= limit:
+                nums.append(x)
+                x *= p
+    return sorted(nums)
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n: ``scipy.fft.next_fast_len(n, real=False)``."""
+    # the power of two 2**bits >= n bounds the answer, so the table up to it holds it
+    nums = _smooth_numbers((n - 1).bit_length())
+    return nums[bisect.bisect_left(nums, n)]
+
+
 def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two complex arrays through one FFT pair.
+    """Full linear convolution of two complex arrays through one ``numpy.fft`` pair.
 
     Bit-identical to ``scipy.signal.fftconvolve`` on complex inputs of length
-    >= 2 (every caller's case), without the cost of importing
-    ``scipy.signal``.  ``real=True`` sizes would not be bit-identical.
+    >= 2 (every caller's case), without the cost of importing ``scipy.signal``
+    or ``scipy.fft``: :func:`_next_fast_len` pads to scipy's complex length,
+    and numpy runs the same pocketfft.  ``real=True`` sizes would not be
+    bit-identical.
     """
     size = a.shape[0] + b.shape[0] - 1
-    n = sp_fft.next_fast_len(size, real=False)
-    return sp_fft.ifft(sp_fft.fft(a, n) * sp_fft.fft(b, n))[:size]
+    n = _next_fast_len(size)
+    return np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))[:size]
 
 
 def convolve(a: FidelityCurve, b: FidelityCurve) -> FidelityCurve:
@@ -162,8 +192,8 @@ def _solve_fast(f: np.ndarray, kernel: np.ndarray, gamma: float, dt: float) -> n
         recurse(lo, mid)
         # phi[lo:mid] * kap[1:hi-lo] at outputs mid-lo-1 ... hi-lo-2: a cyclic convolution
         # of hi-lo-1 points or more wraps only outputs below mid-lo-1 (a middle product)
-        size = sp_fft.next_fast_len(hi - lo - 1, real=False)
-        y = sp_fft.ifft(sp_fft.fft(phi[lo:mid], size) * sp_fft.fft(kap[1 : hi - lo], size))
+        size = _next_fast_len(hi - lo - 1)
+        y = np.fft.ifft(np.fft.fft(phi[lo:mid], size) * np.fft.fft(kap[1 : hi - lo], size))
         r[mid:hi] += y[mid - lo - 1 : hi - lo - 1]
         recurse(mid, hi)
 

@@ -690,18 +690,22 @@ class TestValidateAndErrors:
             main([])
 
     @staticmethod
-    def imported_with_cli(module):
-        """Whether importing echo_gfa.cli in a fresh interpreter imports module."""
+    def fresh_python(code):
+        """stdout of code run in a fresh interpreter that imports this echo_gfa."""
         import echo_gfa
 
         env = dict(os.environ)
         src = str(Path(echo_gfa.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = f"import sys, echo_gfa.cli; print({module!r} in sys.modules)"
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
-        return proc.stdout.strip() == "True"
+        return proc.stdout.strip()
+
+    @classmethod
+    def imported_with_cli(cls, module):
+        """Whether importing echo_gfa.cli in a fresh interpreter imports module."""
+        return cls.fresh_python(f"import sys, echo_gfa.cli; print({module!r} in sys.modules)") == "True"
 
     def test_import_skips_scipy_interpolate(self):
         # every command pays for what importing the CLI pulls in
@@ -710,6 +714,38 @@ class TestValidateAndErrors:
     def test_import_skips_fractions(self):
         # the CSV writer's scale table is built with int arithmetic
         assert not self.imported_with_cli("fractions")
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            # only method "stepper" runs scipy.integrate, which pulls in the next two
+            "scipy.integrate", "scipy.optimize", "scipy.sparse",
+            # the Volterra FFTs are numpy's
+            "scipy.fft", "scipy.special",
+            # only a run that starts workers needs the process pool
+            "concurrent.futures.process",
+        ],
+    )
+    def test_import_skips_modules_no_default_command_runs(self, module):
+        assert not self.imported_with_cli(module)
+
+    def test_stepper_loads_scipy_integrate_when_it_runs(self):
+        # the deferred import works in an interpreter that has only imported the CLI
+        code = """
+import sys
+import numpy as np
+import echo_gfa.cli
+from echo_gfa.curves import TimeGrid
+from echo_gfa.master import QuasiDensity, propagate, rmt_generator, trace_curve
+gen = rmt_generator(np.diag([0.0, 1.5, 2.0]), np.diag([0.0, 1.0, 2.5]), rate=0.5)
+rho0, grid = QuasiDensity.maximally_mixed(3), TimeGrid(dt=0.1, n_steps=20)
+before = "scipy.integrate" in sys.modules
+curves = [trace_curve(propagate(gen, rho0, grid, method=m)).values for m in ("stepper", "superoperator")]
+print(before, "scipy.integrate" in sys.modules, np.max(np.abs(curves[0] - curves[1])))
+"""
+        before, after, diff = self.fresh_python(code).split()
+        assert (before, after) == ("False", "True")
+        assert float(diff) < 1e-7
 
     def test_console_script_installed(self):
         import shutil

@@ -1,5 +1,6 @@
 """Ensemble and general runners: averaging, error bars, determinism and the batched chunk."""
 
+import concurrent.futures
 import json
 import multiprocessing
 
@@ -198,7 +199,8 @@ class TestRunEnsemble:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started for one chunk")
 
-        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", no_pool)
+        # run_ensemble imports the pool class from concurrent.futures when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         capped = run_ensemble(cfg, n_jobs=2)
         assert np.array_equal(serial.f_lambda.values, capped.f_lambda.values)
         for g in cfg.gamma_list:

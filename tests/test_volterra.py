@@ -65,6 +65,13 @@ class TestConvolve:
             b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             assert np.array_equal(volterra_mod._fftconvolve(a, b), fftconvolve(a, b))
 
+    def test_next_fast_len_matches_scipy(self):
+        # the FFT sizes, and so the bits, are those scipy.fft would use
+        from scipy.fft import next_fast_len
+
+        for n in [*range(1, (1 << 17) + 1), (1 << 20) + 1, 3 * (1 << 18) + 7]:
+            assert volterra_mod._next_fast_len(n) == next_fast_len(n, real=False), n
+
     def test_grid_mismatch_rejected(self):
         a = curve(TimeGrid(0.1, 10), np.ones(11))
         b = curve(TimeGrid(0.1, 11), np.ones(12))
