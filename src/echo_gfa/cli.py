@@ -23,6 +23,7 @@ stdout only.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import itertools
 import json
@@ -55,6 +56,30 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 THREADS_ENV = "ECHO_GFA_THREADS"
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _pin_numpy_blas() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, unless a thread variable is set.
+
+    Every numpy BLAS call here is small (eigh at dim <= 64, phase-table GEMMs,
+    Volterra products), and OpenBLAS's second thread only spin-waits on them.
+    Done at import, so forked pool workers inherit one thread each.  scipy's
+    own OpenBLAS keeps its pool for expm and zgemv on the d^2 x d^2 step matrix.
+    """
+    if any(var in os.environ for var in BLAS_THREAD_VARS):
+        return
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "/numpy.libs/" in line and "openblas" in line}
+        for path in paths:
+            ctypes.CDLL(path).scipy_openblas_set_num_threads64_(1)
+    except (OSError, AttributeError):
+        pass  # not numpy's scipy-openblas wheel, or no /proc: leave BLAS as it is
+
+
+_pin_numpy_blas()
 
 
 # ---------------------------------------------------------------------------

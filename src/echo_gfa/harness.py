@@ -192,7 +192,7 @@ def theory_pipeline(f: FidelityCurve, kernel: FidelityCurve, gammas):
     rows = volterra.solve_many(f, kernel, gammas)
     phi = {g: FidelityCurve(f.grid, row) for g, row in zip(gammas, rows)}
     theory = {g: volterra.generalized_fidelity(phi[g], g) for g in gammas}
-    first = {g: volterra.first_order(f, kernel, g) for g in gammas}
+    first = dict(zip(gammas, volterra._first_orders(f, kernel, gammas)))
     return phi, theory, first
 
 

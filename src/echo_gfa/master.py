@@ -250,7 +250,7 @@ def _propagate_superoperator(gen: EchoGenerator, rho0: np.ndarray, grid: TimeGri
     states = np.empty((len(grid), d * d), dtype=complex)
     states[0] = rho0.reshape(-1)
     for k in range(1, len(grid)):
-        # scipy's zgemv, not np.matmul: numpy's own OpenBLAS pool would fight expm's for the cores
+        # scipy's zgemv, not np.matmul: the CLI runs numpy's OpenBLAS on one thread, scipy's keeps its pool
         states[k] = zgemv(1.0, step_t, states[k - 1], trans=1)
     return states.reshape(len(grid), d, d)
 

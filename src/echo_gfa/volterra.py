@@ -251,7 +251,11 @@ def generalized_fidelity(phi: FidelityCurve, gamma_rate: float) -> FidelityCurve
 
 def first_order(f: FidelityCurve, kernel: FidelityCurve, gamma_rate: float) -> FidelityCurve:
     """One Born iteration, exp(-Gamma t) (f + Gamma (fbar * f)); small-Gamma check."""
-    check_rates([gamma_rate], f.grid.dt)
-    conv = convolve(kernel, f)
-    values = np.exp(-gamma_rate * f.times) * (f.values + gamma_rate * conv.values)
-    return FidelityCurve(f.grid, values)
+    return _first_orders(f, kernel, [gamma_rate])[0]
+
+
+def _first_orders(f: FidelityCurve, kernel: FidelityCurve, gammas) -> list[FidelityCurve]:
+    """first_order for each rate, with the rate-free convolution fbar * f done once."""
+    check_rates(gammas, f.grid.dt)
+    conv = convolve(kernel, f).values
+    return [FidelityCurve(f.grid, np.exp(-g * f.times) * (f.values + g * conv)) for g in gammas]

@@ -10,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from echo_gfa import __version__
 from echo_gfa.cli import (
+    BLAS_THREAD_VARS,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
@@ -690,11 +692,16 @@ class TestValidateAndErrors:
             main([])
 
     @staticmethod
-    def fresh_python(code):
-        """stdout of code run in a fresh interpreter that imports this echo_gfa."""
+    def fresh_python(code, unset=(), **set_vars):
+        """stdout of code run in a fresh interpreter that imports this echo_gfa.
+
+        The environment is this one's without the variables in ``unset`` and
+        with ``set_vars`` added.
+        """
         import echo_gfa
 
-        env = dict(os.environ)
+        env = {k: v for k, v in os.environ.items() if k not in unset}
+        env.update(set_vars)
         src = str(Path(echo_gfa.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
@@ -755,3 +762,105 @@ print(before, "scipy.integrate" in sys.modules, np.max(np.abs(curves[0] - curves
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
+
+
+def _blas_name(config) -> str | None:
+    """The BLAS a numpy or scipy build names in its __config__."""
+    return config.CONFIG.get("Build Dependencies", {}).get("blas", {}).get("name")
+
+
+@pytest.mark.skipif(
+    _blas_name(np.__config__) != "scipy-openblas", reason="numpy is not built on scipy-openblas"
+)
+class TestNumpyBlasThreads:
+    """Importing the CLI runs numpy's bundled OpenBLAS on one thread, and only that."""
+
+    # defines blas_threads(libs): the thread count of the OpenBLAS mapped from the
+    # directory libs; a missing library or symbol raises, so the test fails
+    PRELUDE = """
+import ctypes
+
+def blas_threads(libs):
+    for line in open("/proc/self/maps"):
+        path = line.split()[-1]
+        if f"/{libs}/" in path and "openblas" in path:
+            lib = ctypes.CDLL(path)
+            get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+            return (get or lib.scipy_openblas_get_num_threads)()
+    raise LookupError(f"no OpenBLAS mapped from {libs}")
+"""
+
+    @classmethod
+    def run(cls, code, **set_vars):
+        """Fresh interpreter with no BLAS thread variable but those in set_vars."""
+        out = TestValidateAndErrors.fresh_python(cls.PRELUDE + code, unset=BLAS_THREAD_VARS, **set_vars)
+        return [int(word) for word in out.split()]
+
+    def test_cli_import_pins_numpy_blas(self):
+        assert self.run('import echo_gfa.cli\nprint(blas_threads("numpy.libs"))') == [1]
+
+    @pytest.mark.skipif(
+        _blas_name(scipy.__config__) != "scipy-openblas",
+        reason="scipy is not built on scipy-openblas",
+    )
+    def test_scipy_blas_keeps_its_pool(self):
+        before, after = self.run(
+            """
+import scipy.linalg
+print(blas_threads("scipy.libs"))
+import echo_gfa.cli
+print(blas_threads("scipy.libs"))
+"""
+        )
+        assert after == before
+
+    @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+    def test_thread_variable_is_never_overridden(self, var):
+        before, after = self.run(
+            """
+import numpy
+print(blas_threads("numpy.libs"))
+import echo_gfa.cli
+print(blas_threads("numpy.libs"))
+""",
+            **{var: "2"},
+        )
+        assert after == before
+
+    def test_library_import_changes_nothing(self):
+        before, after = self.run(
+            """
+import numpy
+print(blas_threads("numpy.libs"))
+import echo_gfa
+print(blas_threads("numpy.libs"))
+"""
+        )
+        assert after == before
+
+    def test_pool_workers_inherit_one_thread(self):
+        # two chunks of 32 realizations, so run_ensemble starts two workers
+        counts = self.run(
+            """
+import os
+import echo_gfa.cli
+from echo_gfa import harness
+from echo_gfa.curves import TimeGrid
+
+chunk_task = harness._chunk_task
+
+def reporting(args):
+    if os.getpid() != parent:
+        print(blas_threads("numpy.libs"), flush=True)
+    return chunk_task(args)
+
+parent = os.getpid()
+harness._chunk_task = reporting
+config = harness.ExperimentConfig(
+    dim=4, beta=2, master_seed=1, lam=0.1, gamma_list=(0.1,),
+    grid=TimeGrid(dt=0.1, n_steps=10), n_run=32, n_batch=2,
+)
+harness.run_ensemble(config, n_jobs=2)
+"""
+        )
+        assert counts == [1, 1]

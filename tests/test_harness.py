@@ -135,6 +135,26 @@ class TestTheoryPipeline:
         assert calls == [[0.05, 0.1, 0.4]]
         assert list(phi) == list(theory) == list(first) == [0.05, 0.1, 0.4]
 
+    def test_first_order_convolves_once_as_first_order_gives_it(self, monkeypatch):
+        grid = TimeGrid(0.05, 100)
+        t = grid.times
+        f = FidelityCurve(grid, np.exp(-0.1 * t) * np.exp(0.7j * t))
+        k = FidelityCurve(grid, np.exp(-0.05 * t) * np.cos(0.3 * t) + 0.0j)
+        gammas = [0.0, 0.05, 0.1, 0.4]
+        convolve, calls = volterra_mod.convolve, []
+
+        def counting(*args):
+            calls.append(args)
+            return convolve(*args)
+
+        monkeypatch.setattr(volterra_mod, "convolve", counting)
+        _, _, first = theory_pipeline(f, k, gammas)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for g in gammas:
+            expected = volterra_mod.first_order(f, k, g)
+            assert first[g].values.tobytes() == expected.values.tobytes()
+
     def test_no_rates_do_no_solve(self, monkeypatch):
         grid = TimeGrid(0.05, 100)
         ones = FidelityCurve(grid, np.ones(101, dtype=complex))
