@@ -814,27 +814,23 @@ print(blas_threads("scipy.libs"))
         )
         assert after == before
 
-    @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
-    def test_thread_variable_is_never_overridden(self, var):
+    @pytest.mark.parametrize(
+        "module, set_vars",
+        # a thread variable the user set is never overridden
+        [("echo_gfa.cli", {var: "2"}) for var in BLAS_THREAD_VARS]
+        # the library without the CLI leaves BLAS alone
+        + [("echo_gfa", {})],
+        ids=[*BLAS_THREAD_VARS, "library-only"],
+    )
+    def test_numpy_blas_left_as_it_was(self, module, set_vars):
         before, after = self.run(
-            """
+            f"""
 import numpy
 print(blas_threads("numpy.libs"))
-import echo_gfa.cli
+import {module}
 print(blas_threads("numpy.libs"))
 """,
-            **{var: "2"},
-        )
-        assert after == before
-
-    def test_library_import_changes_nothing(self):
-        before, after = self.run(
-            """
-import numpy
-print(blas_threads("numpy.libs"))
-import echo_gfa
-print(blas_threads("numpy.libs"))
-"""
+            **set_vars,
         )
         assert after == before
 
