@@ -65,8 +65,9 @@ def _pin_numpy_blas() -> None:
 
     Every numpy BLAS call here is small (eigh at dim <= 64, phase-table GEMMs,
     Volterra products), and OpenBLAS's second thread only spin-waits on them.
-    Done at import, so forked pool workers inherit one thread each.  scipy's
-    own OpenBLAS keeps its pool for expm and zgemv on the d^2 x d^2 step matrix.
+    Done at import, so forked pool workers inherit one thread each.  scipy, and
+    with it scipy's own OpenBLAS, is loaded only once ``general`` propagates; that
+    library keeps its pool for expm and zgemv on the d^2 x d^2 step matrix.
     """
     if any(var in os.environ for var in BLAS_THREAD_VARS):
         return

@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg.blas import zgemv
 
 from .curves import FidelityCurve, TimeGrid
 from .echo import Spectral, check_hermitian, check_initial_state
@@ -243,6 +241,10 @@ def _propagate_superoperator(gen: EchoGenerator, rho0: np.ndarray, grid: TimeGri
     One step matrix serves every point; each step is a matrix-vector product on
     the BLAS that ran ``expm``.
     """
+    # only this method needs scipy.linalg, whose import alone takes about 0.35 s
+    from scipy.linalg import expm
+    from scipy.linalg.blas import zgemv
+
     step = expm(gen.superoperator() * grid.dt)
     # step.T is an F-contiguous view, so trans=1 applies step itself without a copy
     step_t = step.T

@@ -11,12 +11,14 @@ The solver discretises the convolution with the trapezoid rule on the shared
 uniform grid and solves the resulting lower-triangular system by forward
 substitution.  That recursion is O(n^2); for the long grids needed to hold
 the trapezoid bias down (the scheme's error on the identity check grows as
-Gamma^3 t dt^2 / 12) a divide-and-conquer variant gives the *same* discrete
-solution in O(n log^2 n).  It splits the grid in halves down to base blocks,
-solves each base block by one triangular solve against a Toeplitz matrix
-built once, and folds each solved half into the next by one FFT middle
+Gamma^3 t dt^2 / 12) a divide-and-conquer variant gives the same discrete
+solution, to rounding, in O(n log^2 n) (Hairer, Lubich & Schlichte, SIAM
+J. Sci. Stat. Comput. 6, 1985).  It splits the grid in halves down to base
+blocks, solves each base block by one product with the inverse of its
+lower-triangular Toeplitz matrix (itself Toeplitz, built once by a short
+recurrence), and folds each solved half into the next by one FFT middle
 product: a cyclic convolution just long enough that the outputs it needs do
-not wrap.
+not wrap.  The module needs numpy alone.
 
 Every FFT is ``numpy.fft``'s, padded to the length :func:`_next_fast_len`
 picks.  That is the length ``scipy.fft`` would pick, and both run the same
@@ -31,7 +33,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .curves import FidelityCurve, TimeGrid, check_same_grid
 
@@ -155,12 +156,14 @@ def _solve_direct(f: np.ndarray, kernel: np.ndarray, gammas: np.ndarray, dt: flo
 
 
 def _solve_fast(f: np.ndarray, kernel: np.ndarray, gamma: float, dt: float) -> np.ndarray:
-    """Same discrete solution as _solve_direct, in O(n log^2 n), by block recursion.
+    """Same discrete solution as _solve_direct, to rounding, in O(n log^2 n), by block recursion.
 
     A node [lo, hi) solves its lower half, folds that half into the right-hand side
     of its upper half by one FFT middle product, then solves the upper half.  A base
-    block of k <= _BASE_BLOCK unknowns solves (I - c K) phi = c r by one triangular
-    solve, with K the strictly lower Toeplitz matrix of kap[1:k], shared by every block.
+    block of k <= _BASE_BLOCK unknowns solves (I - c K) phi = c r, with K the strictly
+    lower Toeplitz matrix of kap[1:k], by one product with c (I - c K)^-1.  That inverse
+    is lower-triangular Toeplitz with first column y_0 = 1, y_i = c sum_{j=1..i} kap_j
+    y_{i-j}; it is built once, and a shorter block uses its leading k x k corner.
     """
     n = f.shape[0]
     h = gamma * dt
@@ -174,19 +177,26 @@ def _solve_fast(f: np.ndarray, kernel: np.ndarray, gamma: float, dt: float) -> n
     if n == 1:
         return phi
 
-    # I - c K of the largest block, filled column by column; its unit diagonal is never read
+    # c y, with y the first column of (I - c K)^-1, for the largest block
     m = min(_BASE_BLOCK, n - 1)
-    base = np.zeros((m, m), dtype=complex, order="F")
-    col = -c * kap[1:m]
-    for j in range(m - 1):
-        base[j + 1 :, j] = col[: m - 1 - j]
+    col = np.empty(m, dtype=complex)
+    col[0] = 1.0
+    # |y_i| grows like (c |kap|)^i as Gamma dt / 2 -> 1 and can overflow within one block
+    # where forward substitution stays finite: the blocks then end before the first overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, m):
+            col[i] = c * (kap[1 : i + 1] @ col[i - 1 :: -1])
+        col *= c
+    m = int(np.argmin(np.isfinite(col))) or m
+    # c (I - c K)^-1, filled column by column
+    inv = np.zeros((m, m), dtype=complex)
+    for j in range(m):
+        inv[j:, j] = col[: m - j]
 
     def recurse(lo: int, hi: int) -> None:
         if hi - lo <= m:
             k = hi - lo
-            phi[lo:hi] = solve_triangular(
-                base[:k, :k], c * r[lo:hi], lower=True, unit_diagonal=True, check_finite=False
-            )
+            phi[lo:hi] = inv[:k, :k] @ r[lo:hi]
             return
         mid = (lo + hi) // 2
         recurse(lo, mid)

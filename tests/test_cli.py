@@ -714,25 +714,21 @@ class TestValidateAndErrors:
         """Whether importing echo_gfa.cli in a fresh interpreter imports module."""
         return cls.fresh_python(f"import sys, echo_gfa.cli; print({module!r} in sys.modules)") == "True"
 
-    def test_import_skips_scipy_interpolate(self):
-        # every command pays for what importing the CLI pulls in
-        assert not self.imported_with_cli("scipy.interpolate")
+    def test_import_loads_no_scipy(self):
+        # every command pays for what importing the CLI pulls in; only general's
+        # propagation routes import scipy, and only when they run
+        loaded = self.fresh_python(
+            "import sys, echo_gfa.cli\n"
+            "print(*[m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        assert loaded == ""
 
     def test_import_skips_fractions(self):
         # the CSV writer's scale table is built with int arithmetic
         assert not self.imported_with_cli("fractions")
 
-    @pytest.mark.parametrize(
-        "module",
-        [
-            # only method "stepper" runs scipy.integrate, which pulls in the next two
-            "scipy.integrate", "scipy.optimize", "scipy.sparse",
-            # the Volterra FFTs are numpy's
-            "scipy.fft", "scipy.special",
-            # only a run that starts workers needs the process pool
-            "concurrent.futures.process",
-        ],
-    )
+    # only a run that starts workers needs the process pool
+    @pytest.mark.parametrize("module", ["concurrent.futures.process"])
     def test_import_skips_modules_no_default_command_runs(self, module):
         assert not self.imported_with_cli(module)
 
@@ -753,6 +749,19 @@ print(before, "scipy.integrate" in sys.modules, np.max(np.abs(curves[0] - curves
         before, after, diff = self.fresh_python(code).split()
         assert (before, after) == ("False", "True")
         assert float(diff) < 1e-7
+
+    def test_general_loads_scipy_linalg_when_it_runs(self, tmp_path):
+        # the superoperator route imports expm and zgemv only when general propagates
+        cfg = write_general_config(tmp_path / "g.json", n_draws=1)
+        code = f"""
+import sys
+from echo_gfa.cli import main
+before = "scipy.linalg" in sys.modules
+code = main(["general", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}])
+print(before, "scipy.linalg" in sys.modules, code)
+"""
+        before, after, code = self.fresh_python(code).splitlines()[-1].split()
+        assert (before, after, int(code)) == ("False", "True", EXIT_OK)
 
     def test_console_script_installed(self):
         import shutil
@@ -847,7 +856,9 @@ chunk_task = harness._chunk_task
 
 def reporting(args):
     if os.getpid() != parent:
-        print(blas_threads("numpy.libs"), flush=True)
+        # one write per worker: with PYTHONUNBUFFERED set, print writes the count
+        # and its newline apart, and two workers' writes could interleave
+        os.write(1, b"%d\\n" % blas_threads("numpy.libs"))
     return chunk_task(args)
 
 parent = os.getpid()

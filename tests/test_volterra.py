@@ -156,6 +156,23 @@ class TestSolve:
         fast = volterra_mod._solve_fast(f.values, k.values, gamma, grid.dt)
         assert np.max(np.abs(direct - fast)) < 1e-12 * np.max(np.abs(direct))
 
+    @pytest.mark.parametrize("n", [129, 257])
+    def test_near_singular_step_matches_direct_where_finite(self, n):
+        # Gamma dt / 2 = 0.999 grows the inverse's column like 2000^i, past the float
+        # range within one 128-point base block; a forcing of 1e-250 keeps forward
+        # substitution finite for about 170 points, so one or two base blocks overflow
+        # only in the inverse
+        grid = TimeGrid(dt=0.02, n_steps=n - 1)
+        f, k = smooth_pair(grid)
+        gamma = 2 * 0.999 / grid.dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = volterra_mod._solve_direct(1e-250 * f.values, k.values, np.array([gamma]), grid.dt)[0]
+            fast = volterra_mod._solve_fast(1e-250 * f.values, k.values, gamma, grid.dt)
+        finite = np.isfinite(direct)
+        assert finite[:129].all()
+        assert np.isfinite(fast[finite]).all()
+        assert np.all(np.abs(fast - direct)[finite] <= 1e-12 * np.abs(direct[finite]))
+
     def test_solve_many_matches_single_solves(self):
         grid = TimeGrid(dt=0.02, n_steps=500)
         f, k = smooth_pair(grid)
