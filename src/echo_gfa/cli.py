@@ -72,12 +72,10 @@ def _pin_numpy_blas() -> None:
     if any(var in os.environ for var in BLAS_THREAD_VARS):
         return
     try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "/numpy.libs/" in line and "openblas" in line}
-        for path in paths:
-            ctypes.CDLL(path).scipy_openblas_set_num_threads64_(1)
+        # looked up through numpy's linalg extension, whose handle also searches the libraries it links
+        ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_set_num_threads64_(1)
     except (OSError, AttributeError):
-        pass  # not numpy's scipy-openblas wheel, or no /proc: leave BLAS as it is
+        pass  # not numpy's scipy-openblas wheel: leave BLAS as it is
 
 
 _pin_numpy_blas()
@@ -312,12 +310,6 @@ def _parse(args, kind: str | None = None):
     return (found, *parse(data, base, args.seed))
 
 
-def _prepare_out(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _alpha_map(config: ExperimentConfig) -> dict:
     return {gamma_tag(g): a for g, a in config.alpha().items()}
 
@@ -353,85 +345,77 @@ def _theory_curves(f_lambda, kernel, phi, theory, first):
         yield f"diff_theory_gamma_{tag}", difference_curve(theory[g], f_lambda)
 
 
-def cmd_simulate(args) -> int:
-    _, config, resolved = _parse(args, "ensemble")
+def _run(args, kind: str, produce) -> int:
+    """Parse, make ``--out``, write what ``produce(config, threads)`` returns, print a summary.
+
+    ``produce`` returns (lazy (name, curve) pairs, manifest extras, summary text).
+    An earlier run's manifest is deleted before the first curve is written.
+    """
+    _, config, resolved = _parse(args, kind)
     threads = _resolve_threads(args)
-    out = _prepare_out(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    report = run_ensemble(config, n_jobs=threads)
-
-    curves = _theory_curves(report.f_lambda, report.kernel, report.theory_phi, report.theory, report.first_order)
-    simulated = (
-        (f"{prefix}_gamma_{gamma_tag(g)}", curve)
-        for g, sim in report.simulated.items()
-        for prefix, curve in (("f_sim", sim), ("diff_sim", difference_curve(sim, report.f_lambda)))
-    )
-    files = write_curves(out, itertools.chain(curves, simulated), args.format)
-    write_manifest(out, "simulate", args.format, resolved, files, {"alpha": _alpha_map(config)})
+    curves, extra, summary = produce(config, threads)
+    (out / "manifest.json").unlink(missing_ok=True)
+    files = write_curves(out, curves, args.format)
+    write_manifest(out, args.command, args.format, resolved, files, extra)
     elapsed = time.perf_counter() - t0
-
-    n_total = config.n_batch * config.n_run
-    print(
-        f"simulate: {n_total} realizations (dim={config.dim}, threads={threads}) "
-        f"in {elapsed:.1f} s -> {out} ({len(files) + 1} files)"
-    )
+    print(f"{args.command}: {summary} in {elapsed:.1f} s -> {out} ({len(files) + 1} files)")
     return EXIT_OK
+
+
+def cmd_simulate(args) -> int:
+    def produce(config, threads):
+        report = run_ensemble(config, n_jobs=threads)
+        simulated = (
+            (f"{prefix}_gamma_{gamma_tag(g)}", curve)
+            for g, sim in report.simulated.items()
+            for prefix, curve in (("f_sim", sim), ("diff_sim", difference_curve(sim, report.f_lambda)))
+        )
+        curves = _theory_curves(report.f_lambda, report.kernel, report.theory_phi, report.theory, report.first_order)
+        summary = f"{config.n_batch * config.n_run} realizations (dim={config.dim}, threads={threads})"
+        return itertools.chain(curves, simulated), {"alpha": _alpha_map(config)}, summary
+
+    return _run(args, "ensemble", produce)
 
 
 def cmd_theory(args) -> int:
-    _, config, resolved = _parse(args, "ensemble")
-    threads = _resolve_threads(args)
-    out = _prepare_out(args)
-    fmt = args.format
+    def produce(config, threads):
+        if args.kernels is not None:
+            kdir, fmt = Path(args.kernels), args.format
+            f_lambda = read_curve(kdir / f"f_lambda.{fmt}")
+            kernel = read_curve(kdir / f"f_bar.{fmt}")
+            # the same grid for both, a kernel starting at 1
+            _build(check_inputs, f"{kdir / f'f_bar.{fmt}'}: ", f=f_lambda, kernel=kernel)
+            kgrid, cgrid = f_lambda.grid, config.grid
+            if kgrid.n_steps != cgrid.n_steps or abs(kgrid.dt - cgrid.dt) > 1e-12 * cgrid.dt:
+                raise ConfigError(
+                    f"{kdir}: kernel grid (dt = {kgrid.dt!r}, n_steps = {kgrid.n_steps}) "
+                    f"does not match the config grid (dt = {cgrid.dt!r}, n_steps = {cgrid.n_steps})"
+                )
+            source = str(kdir)
+        else:
+            averages = run_ensemble(dataclasses.replace(config, gamma_list=()), n_jobs=threads)
+            f_lambda, kernel = averages.f_lambda, averages.kernel
+            source = "ensemble"
+        curves = _theory_curves(f_lambda, kernel, *theory_pipeline(f_lambda, kernel, config.gamma_list))
+        return curves, {"alpha": _alpha_map(config), "kernel_source": source}, f"kernels from {source}"
 
-    t0 = time.perf_counter()
-    if args.kernels is not None:
-        kdir = Path(args.kernels)
-        f_lambda = read_curve(kdir / f"f_lambda.{fmt}")
-        kernel = read_curve(kdir / f"f_bar.{fmt}")
-        # the same grid for both, a kernel starting at 1
-        _build(check_inputs, f"{kdir / f'f_bar.{fmt}'}: ", f=f_lambda, kernel=kernel)
-        kgrid, cgrid = f_lambda.grid, config.grid
-        if kgrid.n_steps != cgrid.n_steps or abs(kgrid.dt - cgrid.dt) > 1e-12 * cgrid.dt:
-            raise ConfigError(
-                f"{kdir}: kernel grid (dt = {kgrid.dt!r}, n_steps = {kgrid.n_steps}) "
-                f"does not match the config grid (dt = {cgrid.dt!r}, n_steps = {cgrid.n_steps})"
-            )
-        source = str(kdir)
-    else:
-        averages = run_ensemble(dataclasses.replace(config, gamma_list=()), n_jobs=threads)
-        f_lambda, kernel = averages.f_lambda, averages.kernel
-        source = "ensemble"
-    phi, theory, first = theory_pipeline(f_lambda, kernel, config.gamma_list)
-
-    files = write_curves(out, _theory_curves(f_lambda, kernel, phi, theory, first), fmt)
-    write_manifest(
-        out, "theory", fmt, resolved, files,
-        {"alpha": _alpha_map(config), "kernel_source": source},
-    )
-    elapsed = time.perf_counter() - t0
-    print(f"theory: kernels from {source} in {elapsed:.1f} s -> {out} ({len(files) + 1} files)")
-    return EXIT_OK
+    return _run(args, "ensemble", produce)
 
 
 def cmd_general(args) -> int:
-    _, config, resolved = _parse(args, "general")
-    if _resolve_threads(args) > 1:
-        # --threads is accepted for interface symmetry only
-        print("general: coupling draws run serially; --threads is ignored", file=sys.stderr)
-    out = _prepare_out(args)
+    def produce(config, threads):
+        if threads > 1:
+            # --threads is accepted for interface symmetry only
+            print("general: coupling draws run serially; --threads is ignored", file=sys.stderr)
+        f_general, reference, rate = run_general(config)
+        summary = f"{config.n_draws} draw(s) (dim={config.dim}, method={config.method})"
+        return [("f_general", f_general), ("f_rmt_reference", reference)], {"reduction_rate": rate}, summary
 
-    t0 = time.perf_counter()
-    f_general, reference, rate = run_general(config)
-    files = write_curves(out, [("f_general", f_general), ("f_rmt_reference", reference)], args.format)
-    write_manifest(out, "general", args.format, resolved, files, {"reduction_rate": rate})
-    elapsed = time.perf_counter() - t0
-    print(
-        f"general: {config.n_draws} draw(s) (dim={config.dim}, method={config.method}) "
-        f"in {elapsed:.1f} s -> {out} ({len(files) + 1} files)"
-    )
-    return EXIT_OK
+    return _run(args, "general", produce)
 
 
 def cmd_validate_config(args) -> int:
@@ -451,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def command(name, func, help, needs_out=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="config file or packaged preset name")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
         p.add_argument("--threads", type=int, default=None,
@@ -460,25 +445,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default="echo_gfa_out", help="output directory")
             p.add_argument("--format", choices=("csv", "json"), default="csv",
                            help="curve file format")
+        p.set_defaults(func=func)
+        return p
 
-    p_sim = sub.add_parser("simulate", help="ensemble simulation plus theory curves")
-    common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_th = sub.add_parser("theory", help="integral-equation curves only")
-    common(p_th)
-    p_th.add_argument("--kernels", default=None,
-                      help="directory holding f_lambda/f_bar written by a previous run")
-    p_th.set_defaults(func=cmd_theory)
-
-    p_gen = sub.add_parser("general", help="Born-Markov generator with an explicit bath kernel")
-    common(p_gen)
-    p_gen.set_defaults(func=cmd_general)
-
-    p_val = sub.add_parser("validate-config", help="validate a config and exit")
-    common(p_val, needs_out=False)
-    p_val.set_defaults(func=cmd_validate_config)
-
+    command("simulate", cmd_simulate, "ensemble simulation plus theory curves")
+    command("theory", cmd_theory, "integral-equation curves only").add_argument(
+        "--kernels", default=None, help="directory holding f_lambda/f_bar written by a previous run"
+    )
+    command("general", cmd_general, "Born-Markov generator with an explicit bath kernel")
+    command("validate-config", cmd_validate_config, "validate a config and exit", needs_out=False)
     return parser
 
 

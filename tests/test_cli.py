@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,19 +71,27 @@ def write_general_config(path, **overrides):
     return path
 
 
-def run_overflowing_theory(tmp_path):
-    """theory --kernels on f = f_bar = 1 with G dt / 2 = 0.475: phi grows as 2.8^i and overflows.
+def run_theory_on_ones(tmp_path, gamma):
+    """theory --kernels on f = f_bar = 1 (dt = 0.5, 2000 steps) at one rate into tmp_path/o.
 
-    f_lambda and f_bar are written before phi_gamma_1.9 fails.  Returns (exit code, --out).
+    Returns (exit code, --out).
     """
-    cfg = write_config(tmp_path / "c.json", gamma_list=[1.9], grid={"dt": 0.5, "n_steps": 2000})
+    cfg = write_config(tmp_path / "c.json", gamma_list=[gamma], grid={"dt": 0.5, "n_steps": 2000})
     kdir = tmp_path / "k"
-    kdir.mkdir()
+    kdir.mkdir(exist_ok=True)
     ones = FidelityCurve(TimeGrid(dt=0.5, n_steps=2000), np.ones(2001, dtype=complex))
     for name in ("f_lambda", "f_bar"):
         write_curve(kdir / f"{name}.csv", ones, "csv")
     out = tmp_path / "o"
     return main(["theory", "--config", str(cfg), "--out", str(out), "--kernels", str(kdir)]), out
+
+
+def run_overflowing_theory(tmp_path):
+    """theory --kernels on f = f_bar = 1 with G dt / 2 = 0.475: phi grows as 2.8^i and overflows.
+
+    f_lambda and f_bar are written before phi_gamma_1.9 fails.  Returns (exit code, --out).
+    """
+    return run_theory_on_ones(tmp_path, 1.9)
 
 
 def read_payloads(out_dir):
@@ -482,6 +491,16 @@ class TestTheory:
         assert not list(out.glob("*.csv"))
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failed_rerun_leaves_no_stale_manifest(self, tmp_path):
+        # the first run's manifest lists f_lambda.csv and f_bar.csv, which the failing rerun deletes
+        assert run_theory_on_ones(tmp_path, 0.05) == (EXIT_OK, tmp_path / "o")
+        assert (tmp_path / "o" / "manifest.json").exists()
+        rc, out = run_overflowing_theory(tmp_path)
+        assert rc == EXIT_NUMERIC
+        assert not (out / "f_lambda.csv").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_first_order_accuracy_tracks_rate(self, tmp_path):
         # the one-step iterate is near-exact at tiny damping, visibly off at
         # strong damping on the same kernels
@@ -583,6 +602,43 @@ class TestGeneral:
             tmp_path / "g.json", coupling_file="v.npy", n_draws=5
         )
         assert main(["general", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+class TestSummaryLines:
+    """The one line each run command prints on stdout, with its seconds masked."""
+
+    @staticmethod
+    def masked(stdout):
+        return re.sub(r" in \d+\.\d s ", " in X s ", stdout)
+
+    def test_simulate(self, tmp_path, capsys):
+        cfg, out = write_config(tmp_path / "c.json"), tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--threads", "2"]) == EXIT_OK
+        assert self.masked(capsys.readouterr().out) == (
+            f"simulate: 8 realizations (dim=8, threads=2) in X s -> {out} (15 files)\n"
+        )
+
+    def test_theory_from_ensemble(self, tmp_path, capsys):
+        cfg, out = write_config(tmp_path / "c.json"), tmp_path / "out"
+        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert self.masked(capsys.readouterr().out) == f"theory: kernels from ensemble in X s -> {out} (11 files)\n"
+
+    def test_theory_from_kernels(self, tmp_path, capsys):
+        rc, out = run_theory_on_ones(tmp_path, 0.05)
+        assert rc == EXIT_OK
+        assert self.masked(capsys.readouterr().out) == (
+            f"theory: kernels from {tmp_path / 'k'} in X s -> {out} (7 files)\n"
+        )
+
+    def test_general_and_threads_note(self, tmp_path, capsys):
+        cfg, out = write_general_config(tmp_path / "g.json"), tmp_path / "out"
+        assert main(["general", "--config", str(cfg), "--out", str(out), "--threads", "2"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert self.masked(captured.out) == (
+            f"general: 3 draw(s) (dim=4, method=superoperator) in X s -> {out} (3 files)\n"
+        )
+        # a warning about the CPU count may precede the note on a one-CPU machine
+        assert captured.err.splitlines()[-1] == "general: coupling draws run serially; --threads is ignored"
 
 
 class TestValidateAndErrors:
