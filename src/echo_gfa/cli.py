@@ -15,9 +15,10 @@ validate-config
     Parse and validate a config, print the resolved values, write nothing.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-failure.  All outputs are deterministic functions of the config, so repeated
-runs (any ``--threads``) produce byte-identical payloads; timings go to
-stdout only.
+failure.  Outputs are deterministic functions of the config: they are
+byte-identical for every ``--threads`` value, though ``general`` at dim >= 16
+can differ in the last bit between BLAS thread settings.  Timings go to stdout
+only.
 """
 
 from __future__ import annotations
@@ -245,18 +246,10 @@ def parse_general_config(data: dict, base: Path, seed_override=None):
     kdata = _require(data, "kernel", "config")
     if not isinstance(kdata, dict):
         raise ConfigError("'kernel' must be an object")
-    kind = _require(kdata, "kind", "config.kernel")
-    if kind == "delta":
-        _no_unknown(kdata, ("kind", "c0"), "config.kernel")
-        resolved_kernel = {"kind": kind}
-    elif kind == "exponential":
-        _no_unknown(kdata, ("kind", "tau_c", "c0"), "config.kernel")
-        tau_c = _as_float(_require(kdata, "tau_c", "config.kernel"), "kernel.tau_c")
-        resolved_kernel = {"kind": kind, "tau_c": tau_c}
-    else:
-        raise ConfigError(f"'kernel.kind' must be 'delta' or 'exponential', got {kind!r}")
-    if "c0" in kdata:
-        resolved_kernel["c0"] = _as_float(kdata["c0"], "kernel.c0")
+    _require(kdata, "kind", "config.kernel")
+    _no_unknown(kdata, ("kind", "tau_c", "c0"), "config.kernel")
+    # the kind and the values are checked by CorrelationKernel
+    resolved_kernel = {k: v if k == "kind" else _as_float(v, f"kernel.{k}") for k, v in kdata.items()}
     kernel = _build(CorrelationKernel, "config.kernel: ", **resolved_kernel)
     resolved_kernel["c0"] = kernel.c0
 
@@ -345,11 +338,28 @@ def _theory_curves(f_lambda, kernel, phi, theory, first):
         yield f"diff_theory_gamma_{tag}", difference_curve(theory[g], f_lambda)
 
 
+def _clear_previous(out: Path) -> None:
+    """Delete the files an earlier run's manifest in ``out`` lists, then that manifest.
+
+    Only plain file names are deleted, so no manifest reaches outside ``out``; one
+    that does not parse leaves the other files alone.
+    """
+    manifest = out / "manifest.json"
+    try:
+        names = [n for n in json.loads(manifest.read_text())["files"].values() if isinstance(n, str)]
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        names = []
+    for name in names:
+        if Path(name).name == name and (out / name).is_file():
+            (out / name).unlink()
+    manifest.unlink(missing_ok=True)
+
+
 def _run(args, kind: str, produce) -> int:
     """Parse, make ``--out``, write what ``produce(config, threads)`` returns, print a summary.
 
     ``produce`` returns (lazy (name, curve) pairs, manifest extras, summary text).
-    An earlier run's manifest is deleted before the first curve is written.
+    Once it has read its inputs, an earlier run's files in ``--out`` are deleted.
     """
     _, config, resolved = _parse(args, kind)
     threads = _resolve_threads(args)
@@ -358,7 +368,7 @@ def _run(args, kind: str, produce) -> int:
 
     t0 = time.perf_counter()
     curves, extra, summary = produce(config, threads)
-    (out / "manifest.json").unlink(missing_ok=True)
+    _clear_previous(out)
     files = write_curves(out, curves, args.format)
     write_manifest(out, args.command, args.format, resolved, files, extra)
     elapsed = time.perf_counter() - t0
@@ -384,6 +394,8 @@ def cmd_simulate(args) -> int:
 def cmd_theory(args) -> int:
     def produce(config, threads):
         if args.kernels is not None:
+            if threads > 1:
+                print("theory: --kernels runs in one process; --threads is ignored", file=sys.stderr)
             kdir, fmt = Path(args.kernels), args.format
             f_lambda = read_curve(kdir / f"f_lambda.{fmt}")
             kernel = read_curve(kdir / f"f_bar.{fmt}")
@@ -409,7 +421,6 @@ def cmd_theory(args) -> int:
 def cmd_general(args) -> int:
     def produce(config, threads):
         if threads > 1:
-            # --threads is accepted for interface symmetry only
             print("general: coupling draws run serially; --threads is ignored", file=sys.stderr)
         f_general, reference, rate = run_general(config)
         summary = f"{config.n_draws} draw(s) (dim={config.dim}, method={config.method})"

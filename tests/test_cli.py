@@ -71,10 +71,10 @@ def write_general_config(path, **overrides):
     return path
 
 
-def run_theory_on_ones(tmp_path, gamma):
+def run_theory_on_ones(tmp_path, gamma, *flags):
     """theory --kernels on f = f_bar = 1 (dt = 0.5, 2000 steps) at one rate into tmp_path/o.
 
-    Returns (exit code, --out).
+    ``flags`` are appended to the command line.  Returns (exit code, --out).
     """
     cfg = write_config(tmp_path / "c.json", gamma_list=[gamma], grid={"dt": 0.5, "n_steps": 2000})
     kdir = tmp_path / "k"
@@ -83,7 +83,7 @@ def run_theory_on_ones(tmp_path, gamma):
     for name in ("f_lambda", "f_bar"):
         write_curve(kdir / f"{name}.csv", ones, "csv")
     out = tmp_path / "o"
-    return main(["theory", "--config", str(cfg), "--out", str(out), "--kernels", str(kdir)]), out
+    return main(["theory", "--config", str(cfg), "--out", str(out), "--kernels", str(kdir), *flags]), out
 
 
 def run_overflowing_theory(tmp_path):
@@ -501,6 +501,33 @@ class TestTheory:
         assert not (out / "f_lambda.csv").exists()
         assert not (out / "manifest.json").exists()
 
+    def test_smaller_rerun_leaves_only_its_own_files(self, tmp_path):
+        # the first run writes the *_gamma_0.2 curves, which the rerun's manifest does not list
+        out = tmp_path / "out"
+        for rates in ([0.05, 0.2], [0.05]):
+            cfg = write_config(tmp_path / "c.json", gamma_list=rates)
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {p.name for p in out.iterdir()} == {"manifest.json", *manifest["files"].values()}
+        assert len(manifest["files"]) == 8
+
+    @pytest.mark.parametrize("damage", ["names-outside-out", "not-json"])
+    def test_rerun_deletes_only_plain_names_from_the_old_manifest(self, tmp_path, damage):
+        out = tmp_path / "o"
+        assert run_theory_on_ones(tmp_path, 0.05) == (EXIT_OK, out)
+        (out / "sub").mkdir()
+        kept = [tmp_path / "outside.csv", out / "sub" / "x.csv", out / "notes.txt"]
+        for path in kept:
+            path.write_text("keep")
+        manifest = out / "manifest.json"
+        if damage == "names-outside-out":
+            names = {"a": "../outside.csv", "b": "sub/x.csv", "c": str(tmp_path / "outside.csv"), "d": "", "e": 5}
+            manifest.write_text(json.dumps({"files": names}))
+        else:
+            manifest.write_text("{")
+        assert run_theory_on_ones(tmp_path, 0.05) == (EXIT_OK, out)
+        assert all(path.read_text() == "keep" for path in kept)
+
     def test_first_order_accuracy_tracks_rate(self, tmp_path):
         # the one-step iterate is near-exact at tiny damping, visibly off at
         # strong damping on the same kernels
@@ -558,6 +585,20 @@ class TestGeneral:
         # strength^2 * dim * c0 = 0.09 * 4 * 1
         assert manifest["reduction_rate"] == pytest.approx(0.36)
         assert (out / "f_rmt_reference.csv").is_file()
+
+    @pytest.mark.parametrize(
+        "kernel, resolved",
+        [
+            ({"kind": "delta", "c0": 2}, {"kind": "delta", "c0": 2.0}),
+            ({"kind": "delta", "tau_c": 0}, {"kind": "delta", "tau_c": 0.0, "c0": 1.0}),
+            ({"kind": "exponential", "tau_c": 0.5}, {"kind": "exponential", "tau_c": 0.5, "c0": 1.0}),
+        ],
+    )
+    def test_resolved_kernel(self, tmp_path, kernel, resolved):
+        cfg = write_general_config(tmp_path / "g.json", kernel=kernel)
+        config, got = parse_general_config(json.loads(cfg.read_text()), tmp_path)
+        assert got["kernel"] == resolved
+        assert config.kernel == CorrelationKernel(**resolved)
 
     @pytest.mark.parametrize(
         "kernel",
@@ -624,11 +665,14 @@ class TestSummaryLines:
         assert self.masked(capsys.readouterr().out) == f"theory: kernels from ensemble in X s -> {out} (11 files)\n"
 
     def test_theory_from_kernels(self, tmp_path, capsys):
-        rc, out = run_theory_on_ones(tmp_path, 0.05)
+        rc, out = run_theory_on_ones(tmp_path, 0.05, "--threads", "2")
         assert rc == EXIT_OK
-        assert self.masked(capsys.readouterr().out) == (
+        captured = capsys.readouterr()
+        assert self.masked(captured.out) == (
             f"theory: kernels from {tmp_path / 'k'} in X s -> {out} (7 files)\n"
         )
+        # a warning about the CPU count may precede the note on a one-CPU machine
+        assert captured.err.splitlines()[-1] == "theory: --kernels runs in one process; --threads is ignored"
 
     def test_general_and_threads_note(self, tmp_path, capsys):
         cfg, out = write_general_config(tmp_path / "g.json"), tmp_path / "out"
@@ -779,6 +823,14 @@ class TestValidateAndErrors:
         )
         assert loaded == ""
 
+    def test_package_import_loads_nothing(self):
+        # every name is imported from its own module, so the package itself loads none of them
+        loaded = self.fresh_python(
+            "import sys, echo_gfa\n"
+            "print(*[m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'echo_gfa.'))])"
+        )
+        assert loaded == ""
+
     def test_import_skips_fractions(self):
         # the CSV writer's scale table is built with int arithmetic
         assert not self.imported_with_cli("fractions")
@@ -884,7 +936,7 @@ print(blas_threads("scipy.libs"))
         # a thread variable the user set is never overridden
         [("echo_gfa.cli", {var: "2"}) for var in BLAS_THREAD_VARS]
         # the library without the CLI leaves BLAS alone
-        + [("echo_gfa", {})],
+        + [("echo_gfa.harness", {})],
         ids=[*BLAS_THREAD_VARS, "library-only"],
     )
     def test_numpy_blas_left_as_it_was(self, module, set_vars):
