@@ -193,6 +193,10 @@ def _solve_fast(f: np.ndarray, kernel: np.ndarray, gamma: float, dt: float) -> n
     for j in range(m):
         inv[j:, j] = col[: m - j]
 
+    # the transform of kap[1:k] for a node of k points, which every node of that size
+    # uses; at most two sizes a level, about n points in all (numpy.fft keeps no plan)
+    kap_hat = {}
+
     def recurse(lo: int, hi: int) -> None:
         if hi - lo <= m:
             k = hi - lo
@@ -203,11 +207,19 @@ def _solve_fast(f: np.ndarray, kernel: np.ndarray, gamma: float, dt: float) -> n
         # phi[lo:mid] * kap[1:hi-lo] at outputs mid-lo-1 ... hi-lo-2: a cyclic convolution
         # of hi-lo-1 points or more wraps only outputs below mid-lo-1 (a middle product)
         size = _next_fast_len(hi - lo - 1)
-        y = np.fft.ifft(np.fft.fft(phi[lo:mid], size) * np.fft.fft(kap[1 : hi - lo], size))
+        k_hat = kap_hat.get(hi - lo)
+        if k_hat is None:
+            k_hat = np.fft.fft(kap[1 : hi - lo], size)
+            if hi - lo < n - 1:  # the root's transform is used once
+                kap_hat[hi - lo] = k_hat
+        y = np.fft.ifft(np.fft.fft(phi[lo:mid], size) * k_hat)
         r[mid:hi] += y[mid - lo - 1 : hi - lo - 1]
         recurse(mid, hi)
 
     recurse(1, n)
+    # recurse refers to itself through its closure; unbinding it frees r, kap and the
+    # transforms now rather than at the next cyclic garbage collection
+    del recurse
     return phi
 
 

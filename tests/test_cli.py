@@ -198,6 +198,20 @@ class TestCurveIO:
         write_curve(path, curve, "csv")
         assert path.read_bytes() == reference_csv(curve)
 
+    def test_time_column_follows_the_grid(self, tmp_path):
+        # the writer formats a grid's times once; alternate grids of equal length
+        # (different dt) and of equal dt (different length) must each get their own
+        rng = np.random.default_rng(3)
+        grids = [
+            TimeGrid(dt=0.1, n_steps=6), TimeGrid(dt=0.3, n_steps=6),
+            TimeGrid(dt=0.1, n_steps=6), TimeGrid(dt=0.1, n_steps=9), TimeGrid(dt=0.1, n_steps=6),
+        ]
+        for i, grid in enumerate(grids):
+            curve = FidelityCurve(grid, rng.standard_normal(len(grid)) + 1j)
+            path = tmp_path / f"c{i}.csv"
+            write_curve(path, curve, "csv")
+            assert path.read_bytes() == reference_csv(curve), grid
+
     def test_long_csv_matches_percent_format(self, tmp_path):
         # 10 001 rows cross two block boundaries; one error column is missing
         rng = np.random.default_rng(2)
@@ -389,20 +403,27 @@ class TestTheory:
         th = read_curve(out / "f_theory_gamma_0.csv")
         assert np.array_equal(f.values, th.values)
 
-    def test_kernels_reuse_reproduces_simulate_theory(self, tmp_path):
+    def test_kernels_reuse_reproduces_simulate_theory(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.json")
         sim_out = tmp_path / "sim"
         main(["simulate", "--config", str(cfg), "--out", str(sim_out)])
+
+        def no_loadtxt(*args, **kwargs):
+            raise AssertionError("a written curve file must take the exact reader, not np.loadtxt")
+
+        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
         th_out = tmp_path / "th"
         rc = main(
             ["theory", "--config", str(cfg), "--out", str(th_out),
              "--kernels", str(sim_out)]
         )
         assert rc == EXIT_OK
-        for tag in ("0.05", "0.2"):
-            a = (sim_out / f"f_theory_gamma_{tag}.csv").read_bytes()
-            b = (th_out / f"f_theory_gamma_{tag}.csv").read_bytes()
-            assert a == b
+        # the kernels read back are written back byte for byte
+        names = ["f_lambda", "f_bar"] + [f"f_theory_gamma_{tag}" for tag in ("0.05", "0.2")]
+        for name in names:
+            a = (sim_out / f"{name}.csv").read_bytes()
+            b = (th_out / f"{name}.csv").read_bytes()
+            assert a == b, name
         manifest = json.loads((th_out / "manifest.json").read_text())
         assert manifest["kernel_source"] == str(sim_out)
 

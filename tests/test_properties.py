@@ -1,11 +1,15 @@
 """Structural invariants checked over randomized inputs."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echo_gfa.cli import write_curve
+from echo_gfa import curveio
+from echo_gfa.cli import ConfigError, read_curve, write_curve
+from echo_gfa.curveio import _read_csv_exact
 from echo_gfa.curves import FidelityCurve, TimeGrid
 from echo_gfa.echo import EchoSetup, fidelity_curve, kernel_curve
 from echo_gfa.rmt import EnsembleConfig, build_realization, sample_gaussian, unfolded_spectrum
@@ -165,3 +169,153 @@ def test_csv_writer_matches_percent_format(rows, dt, tmp_path_factory):
     path = tmp_path_factory.mktemp("csv") / "c.csv"
     write_curve(path, curve, "csv")
     assert path.read_bytes() == reference_csv(curve)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@given(
+    rows=st.lists(
+        # any finite float64: subnormals, signed zeros and both ends of the range included
+        st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=0.0, allow_infinity=False),
+        ),
+        min_size=2, max_size=40,
+    ),
+    dt=st.floats(1e-300, 1e300),
+)
+@settings(max_examples=200, deadline=None)
+def test_csv_reader_is_exact(rows, dt, tmp_path_factory):
+    re, im, err = (np.array(col) for col in zip(*rows))
+    values = re.astype(complex)
+    values.imag = im
+    curve = FidelityCurve(TimeGrid(dt=dt, n_steps=len(rows) - 1), values, stderr_re=err)
+    path = tmp_path_factory.mktemp("csv") / "c.csv"
+    write_curve(path, curve, "csv")
+    table = _read_csv_exact(path)  # None would mean the np.loadtxt path
+    expected = np.column_stack([curve.times, re, im, err, np.zeros_like(err)])
+    assert table is not None
+    assert np.array_equal(_bits(table), _bits(expected))
+    back = read_curve(path)
+    assert np.array_equal(_bits(back.values.real), _bits(re))
+    assert np.array_equal(_bits(back.values.imag), _bits(im))
+
+
+def _canonical(x: Fraction, shift: int = 0) -> str:
+    """x > 0 to 17 significant digits in '%.16e' form, the last digit moved by shift."""
+    p = 0
+    while x >= 10 ** (p + 1):
+        p += 1
+    while x < 10**p:
+        p -= 1
+    n = round(x / Fraction(10) ** (p - 16)) + shift
+    if n == 10**17:
+        n, p = 10**16, p + 1
+    digits = str(n)
+    return f"{digits[0]}.{digits[1:]}e{p:+03d}"
+
+
+def _read_numbers(path, strings):
+    """_read_csv_exact on one CSV file holding strings, five to a row."""
+    fields = list(strings) + ["0.0000000000000000e+00"] * (-len(strings) % 5)
+    lines = [",".join(fields[i : i + 5]) for i in range(0, len(fields), 5)]
+    path.write_bytes(("t,re_f,im_f,re_err,im_err\r\n" + "".join(s + "\r\n" for s in lines)).encode())
+    return _read_csv_exact(path).ravel()[: len(strings)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # exact ties between two doubles, rounded to even: 2**53, 2**53 + 4, 2**54
+        "9.0071992547409930e+15", "9.0071992547409950e+15", "1.8014398509481986e+16",
+        # exponents beyond the scale table, subnormals and the largest double
+        "4.9406564584124654e-324", "2.2250738585072009e-308", "1.0000000000000000e-250",
+        "1.7976931348623157e+308", "1.0000000000000000e+300", "9.9999999999999999e+299",
+        "1.0000000000000000e+999", "1.0000000000000000e-999", "0.0000000000000000e-999",
+    ],
+)
+def test_csv_reader_hard_strings_match_float(text, tmp_path):
+    for s in (text, "-" + text):
+        assert _bits(_read_numbers(tmp_path / "c.csv", [s])) == _bits(float(s))
+
+
+# the decimal nearest the midpoint of x and the next double up, and its neighbours
+NEAR_TIES = st.builds(
+    lambda x, shift: _canonical((Fraction(x) + Fraction(np.nextafter(x, np.inf))) / 2, shift),
+    st.floats(min_value=1e-300, max_value=1e300), st.sampled_from([-1, 0, 1]),
+)
+# odd integers between 2**53 and 10**16: exact ties between two even doubles,
+# scaled by an inexact 10**-1
+EXACT_TIES = st.integers(2**52, 5 * 10**15 - 1).map(lambda j: _canonical(Fraction(2 * j + 1)))
+
+
+@given(text=st.one_of(NEAR_TIES, EXACT_TIES))
+@settings(max_examples=300, deadline=None)
+def test_csv_reader_near_ties_match_float(text, tmp_path_factory):
+    got = _read_numbers(tmp_path_factory.mktemp("csv") / "c.csv", [text, "-" + text])
+    assert np.array_equal(_bits(got), _bits([float(text), -float(text)]))
+
+
+def test_csv_reader_hands_ties_to_float(tmp_path, monkeypatch):
+    # the double-double sum lands on these ties exactly, so it would round them to
+    # even as well; the reader still must not rely on that
+    ties = ["9.0071992547409930e+15", "9.0071992547409950e+15", "1.8014398509481986e+16"]
+    handed = []
+
+    def spy(text):
+        handed.append(text)
+        return float(text)
+
+    monkeypatch.setattr(curveio, "float", spy, raising=False)
+    _read_numbers(tmp_path / "c.csv", ties + ["1.0000000000000000e+00", "3.3333333333333331e-01"])
+    assert handed == [t.encode() for t in ties]
+
+
+GOOD_CSV = (
+    b"t,re_f,im_f,re_err,im_err\r\n"
+    b"0.0000000000000000e+00,1.0000000000000000e+00,-2.5000000000000000e-01,"
+    b"0.0000000000000000e+00,1.0000000000000001e-100\r\n"
+    b"5.0000000000000000e-01,9.0071992547409930e+15,3.3333333333333331e-01,"
+    b"0.0000000000000000e+00,2.0000000000000000e+00\r\n"
+)
+
+
+@pytest.mark.parametrize(
+    "exact, damage",
+    [
+        (True, lambda b: b),
+        (True, lambda b: b.replace(b"\r\n", b"\n")),
+        # not the writer's form: read by np.loadtxt, to the same values
+        (False, lambda b: b.replace(b"e+00,1.0", b"E+00,1.0")),
+        (False, lambda b: b.replace(b"3.3333333333333331e-01", b"3.333333333333333e-01")),
+        (False, lambda b: b.replace(b",9.0", b", 9.0")),
+        (False, lambda b: b.replace(b",1.0000", b",+1.0000")),
+        (False, lambda b: b[:-2]),
+        (False, lambda b: b.replace(b"\r\n", b"\n", 1)),
+        (False, lambda b: b + b"\r\n"),
+        # malformed: the same ConfigError as np.loadtxt's path
+        (False, lambda b: b.replace(b",9.0071992547409930e+15", b",x")),
+        (False, lambda b: b.replace(b",9.0071992547409930e+15", b"")),
+        (False, lambda b: b.replace(b",9.0071992547409930e+15", b",nan")),
+        (False, lambda b: b.split(b"\r\n")[0] + b"\r\n"),
+        (True, lambda b: b.replace(b"5.0000000000000000e-01,", b"7.0000000000000000e-01,")),
+    ],
+)
+def test_csv_reader_agrees_with_loadtxt(exact, damage, tmp_path, monkeypatch):
+    path = tmp_path / "c.csv"
+    path.write_bytes(damage(GOOD_CSV))
+    assert (_read_csv_exact(path) is not None) == exact
+
+    def outcome():
+        try:
+            curve = read_curve(path)
+        except ConfigError as exc:
+            return str(exc)
+        return [_bits(a).tolist() for a in (curve.values.real, curve.values.imag, curve.stderr_im)]
+
+    got = outcome()
+    monkeypatch.setattr(curveio, "_read_csv_exact", lambda path: None)
+    assert got == outcome()
