@@ -16,9 +16,8 @@ validate-config
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure.  Outputs are deterministic functions of the config: they are
-byte-identical for every ``--threads`` value, though ``general`` at dim >= 16
-can differ in the last bit between BLAS thread settings.  Timings go to stdout
-only.
+byte-identical for every ``--threads`` value and BLAS thread setting.  Timings
+go to stdout only.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ def _pin_numpy_blas() -> None:
     Volterra products), and OpenBLAS's second thread only spin-waits on them.
     Done at import, so forked pool workers inherit one thread each.  scipy, and
     with it scipy's own OpenBLAS, is loaded only once ``general`` propagates; that
-    library keeps its pool for expm and zgemv on the d^2 x d^2 step matrix.
+    library keeps its pool for zgemm and zgemv on the d^2 x d^2 step matrix.
     """
     if any(var in os.environ for var in BLAS_THREAD_VARS):
         return

@@ -22,7 +22,7 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
-        if int(self.n_steps) != self.n_steps or self.n_steps < 1:
+        if isinstance(self.n_steps, (bool, np.bool_)) or int(self.n_steps) != self.n_steps or self.n_steps < 1:
             raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
         if not np.isfinite(self.t_max):
             raise ValueError(f"grid end n_steps * dt = {self.n_steps} * {self.dt!r} is not finite")

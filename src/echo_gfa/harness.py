@@ -38,7 +38,7 @@ _CHUNK_REALIZATIONS = 32
 
 
 def _check_count(name: str, value) -> None:
-    if int(value) != value or value < 1:
+    if isinstance(value, (bool, np.bool_)) or int(value) != value or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 

@@ -38,6 +38,9 @@ class EnsembleConfig:
     realization_index: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("dim", "beta", "master_seed", "realization_index"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if int(self.dim) != self.dim or self.dim < 2:
             raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
         if self.beta not in (1, 2):

@@ -645,6 +645,24 @@ class TestGeneral:
         assert "run serially" in capsys.readouterr().err
         assert read_payloads(out1) == read_payloads(out2)
 
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # dim 16 gives a 256 x 256 step matrix, large enough for OpenBLAS to split
+        # its products over threads
+        cfg = write_general_config(
+            tmp_path / "g.json", dim=16, beta=1, n_draws=2,
+            kernel={"kind": "exponential", "tau_c": 0.5, "c0": 1.0},
+        )
+        payloads = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas-{threads}"
+            argv = ["general", "--config", str(cfg), "--out", str(out)]
+            TestValidateAndErrors.fresh_python(
+                f"import sys; from echo_gfa.cli import main; sys.exit(main({argv!r}))",
+                unset=BLAS_THREAD_VARS, OPENBLAS_NUM_THREADS=threads,
+            )
+            payloads.append([(out / name).read_bytes() for name in ("f_general.csv", "f_rmt_reference.csv")])
+        assert payloads[0] == payloads[1]
+
     def test_fixed_coupling_file(self, tmp_path):
         v = np.diag([1.0, -1.0, 0.5, -0.5]).astype(complex)
         np.save(tmp_path / "v.npy", v)

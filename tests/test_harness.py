@@ -65,6 +65,36 @@ class TestExperimentConfig:
         small_config(gamma_list=(0.05, 39.9))
 
 
+def small_general_config(**kw):
+    base = dict(
+        dim=4, beta=1, master_seed=7, lam=0.1, strength=0.3,
+        kernel=CorrelationKernel.exponential(tau_c=0.5), grid=TimeGrid(dt=0.05, n_steps=40),
+    )
+    base.update(kw)
+    return GeneralConfig(**base)
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda flag: EnsembleConfig(16, flag, 3),
+        lambda flag: EnsembleConfig(16, 1, flag),
+        lambda flag: EnsembleConfig(16, 1, 3, realization_index=flag),
+        lambda flag: TimeGrid(0.1, flag),
+        lambda flag: small_config(n_run=flag),
+        lambda flag: small_config(n_batch=flag),
+        lambda flag: small_general_config(n_draws=flag),
+        lambda flag: run_ensemble(small_config(), n_jobs=flag),
+    ],
+    ids=["beta", "master_seed", "realization_index", "n_steps", "n_run", "n_batch", "n_draws", "n_jobs"],
+)
+def test_integer_fields_reject_booleans(build, flag):
+    # True == 1, so a bare integer check would read it as one; the CLI rejects it in JSON too
+    with pytest.raises(ValueError, match="integer"):
+        build(flag)
+
+
 class TestStatistics:
     def test_batch_statistics_mean_and_scale(self):
         rng = np.random.default_rng(0)

@@ -8,6 +8,7 @@ from echo_gfa.curves import TimeGrid
 from echo_gfa.echo import EchoSetup, Spectral, fidelity_curve, kernel_curve
 from echo_gfa.master import (
     CorrelationKernel,
+    PropagationError,
     QuasiDensity,
     gamma_operator,
     general_generator,
@@ -15,6 +16,7 @@ from echo_gfa.master import (
     rmt_generator,
     trace_curve,
     _propagate_superoperator,
+    _step_matrix,
 )
 from echo_gfa.rmt import EnsembleConfig, build_realization, sample_gaussian
 from echo_gfa.volterra import VolterraProblem, generalized_fidelity, solve
@@ -356,7 +358,7 @@ class TestPropagate:
 
     def test_steps_apply_the_step_matrix_not_its_transpose(self):
         # a non-normal generator tells step from step^T: the stepped states must be
-        # those of plain matrix-vector products with expm(L dt)
+        # those of plain matrix-vector products with the step matrix
         dim = 4
         rng = np.random.default_rng(37)
         h0 = random_hermitian(dim, rng)
@@ -365,7 +367,7 @@ class TestPropagate:
             h0 + 0.3 * v, h0, v, CorrelationKernel.exponential(tau_c=0.5), strength=0.5
         )
         grid = TimeGrid(dt=0.1, n_steps=50)
-        step = expm(gen.superoperator() * grid.dt)
+        step = _step_matrix(gen.superoperator(), grid.dt)
         assert np.max(np.abs(step - step.T)) > 1e-2
         rho0 = random_density(dim, rng)
         expected = np.empty((len(grid), dim * dim), dtype=complex)
@@ -374,6 +376,31 @@ class TestPropagate:
             expected[k] = np.matmul(step, expected[k - 1])
         states = _propagate_superoperator(gen, rho0, grid).reshape(len(grid), -1)
         assert np.max(np.abs(states - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("dim", [2, 5, 16, 40])
+    @pytest.mark.parametrize("norm", [1e-3, 0.3, 0.9, 3.0, 20.0])
+    def test_step_matrix_matches_expm(self, dim, norm):
+        # ||A||_1 from 1e-3 to 20 takes 0 to 5 squarings of the degree-18 polynomial
+        rng = np.random.default_rng(int(1000 * norm) + dim)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a *= norm / np.abs(a).sum(axis=0).max()
+        exact = expm(a)
+        step = _step_matrix(a, 1.0)
+        assert np.max(np.abs(step - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    def test_step_matrix_of_diagonal_generator_is_elementwise(self):
+        # the rate-0 reduction of a diagonal Hamiltonian pair has a diagonal L
+        h = np.diag(np.arange(3.0))
+        l = rmt_generator(h + 0.5 * np.eye(3), h, rate=0.0).superoperator()
+        assert np.count_nonzero(l - np.diag(np.diagonal(l))) == 0
+        step = _step_matrix(l, 0.3)
+        assert np.array_equal(step, np.diag(np.exp(np.diagonal(l) * 0.3)))
+
+    def test_step_matrix_of_overflowing_generator_fails_cleanly(self):
+        # finite inputs whose L dt overflows leave no scaling power to choose
+        gen = rmt_generator(np.zeros((2, 2)), np.zeros((2, 2)), rate=1e308)
+        with pytest.raises(PropagationError, match="not finite"):
+            propagate(gen, QuasiDensity.maximally_mixed(2), TimeGrid(10.0, 2))
 
     def test_superoperator_dim_guard(self):
         dim = 70
