@@ -14,6 +14,10 @@ general
 validate-config
     Parse and validate a config, print the resolved values, write nothing.
 
+A config is parsed once.  This module checks its JSON structure: each object's
+keys, the ``initial_state`` token, ``.npy`` files, a non-empty ``gamma_list`` with
+distinct file tags.  The config dataclasses check each value's type and range.
+
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure.  Outputs are deterministic functions of the config: they are
 byte-identical for every ``--threads`` value and BLAS thread setting.  Timings
@@ -120,37 +124,17 @@ def load_config(name: str):
     return data, base
 
 
-def _require(data: dict, key: str, where: str):
-    if key not in data:
-        raise ConfigError(f"{where}: missing required key '{key}'")
-    return data[key]
-
-
-def _no_unknown(data: dict, allowed, where: str) -> None:
-    unknown = sorted(set(data) - set(allowed))
+def _object(data, where: str, required, optional=()) -> dict:
+    """``data``, checked to be a JSON object with every ``required`` key and no key but those and ``optional``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object, got {data!r}")
+    unknown = sorted(set(data) - set(required) - set(optional))
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
-
-
-def _as_int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
-    return value
-
-
-def _as_float(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{key}' must be a number, got {value!r}")
-    return float(value)
-
-
-def _parse_grid(data) -> TimeGrid:
-    if not isinstance(data, dict):
-        raise ConfigError("config: 'grid' must be an object with dt and n_steps")
-    _no_unknown(data, ("dt", "n_steps"), "config.grid")
-    dt = _as_float(_require(data, "dt", "config.grid"), "dt")
-    n_steps = _as_int(_require(data, "n_steps", "config.grid"), "n_steps")
-    return _build(TimeGrid, dt=dt, n_steps=n_steps)
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"{where}: missing required key '{key}'")
+    return data
 
 
 def _load_matrix(value, key: str, base: Path) -> np.ndarray:
@@ -168,100 +152,64 @@ def _load_matrix(value, key: str, base: Path) -> np.ndarray:
         raise ConfigError(f"cannot load {key} {path}: {exc}") from exc
 
 
-def _parse_initial_state(value, base: Path):
-    if value == "maximally-mixed":
-        return None
-    if isinstance(value, str) and value.endswith(".npy"):
-        return _load_matrix(value, "initial_state", base)
-    raise ConfigError(
-        f"initial_state must be 'maximally-mixed' or a .npy file path, got {value!r}"
-    )
+def _fields(data: dict, base: Path, seed_override, required, optional) -> dict:
+    """Check the config's keys; return its dataclass's keyword arguments, values as JSON gives them.
 
-
-_SHARED_KEYS = ("dim", "beta", "master_seed", "lambda", "grid", "initial_state")
-
-
-def _read_shared(data: dict, base: Path, seed_override):
-    """Read the keys both config kinds share, checking JSON types only.
-
-    Values are checked by the config dataclass they are passed to.  Returns
-    (its keyword arguments, the resolved dict).
+    Of the shared keys, ``lambda`` becomes ``lam``, ``grid`` a TimeGrid and a ``.npy`` ``initial_state`` its matrix.
     """
-    dim = _as_int(_require(data, "dim", "config"), "dim")
-    beta = _as_int(_require(data, "beta", "config"), "beta")
-    master_seed = _as_int(_require(data, "master_seed", "config"), "master_seed")
+    _object(data, "config", ("dim", "beta", "master_seed", "lambda", "grid", *required),
+            ("initial_state", "method", *optional))
+    kwargs = dict(data)
     if seed_override is not None:
-        master_seed = _as_int(seed_override, "seed")
-    lam = _as_float(_require(data, "lambda", "config"), "lambda")
-    grid = _parse_grid(_require(data, "grid", "config"))
-    state_token = data.get("initial_state", "maximally-mixed")
-    kwargs = {
-        "dim": dim, "beta": beta, "master_seed": master_seed, "lam": lam, "grid": grid,
-        "initial_state": _parse_initial_state(state_token, base),
+        kwargs["master_seed"] = seed_override
+    kwargs["lam"] = kwargs.pop("lambda")
+    kwargs["grid"] = _build(TimeGrid, "config.grid: ", **_object(data["grid"], "config.grid", ("dt", "n_steps")))
+    state = kwargs.pop("initial_state", "maximally-mixed")
+    if state != "maximally-mixed":
+        if not (isinstance(state, str) and state.endswith(".npy")):
+            raise ConfigError(f"initial_state must be 'maximally-mixed' or a .npy file path, got {state!r}")
+        kwargs["initial_state"] = _load_matrix(state, "initial_state", base)
+    return kwargs
+
+
+def _resolved(config, data: dict, *names) -> dict:
+    """The resolved values of the shared keys and of the fields ``names``, read back from the checked config."""
+    shared = {
+        "lambda": config.lam, "grid": {"dt": config.grid.dt, "n_steps": config.grid.n_steps},
+        "initial_state": data.get("initial_state", "maximally-mixed"),
     }
-    resolved = {
-        "dim": dim, "beta": beta, "master_seed": master_seed, "lambda": lam,
-        "grid": {"dt": grid.dt, "n_steps": grid.n_steps}, "initial_state": state_token,
-    }
-    return kwargs, resolved
-
-
-def _optional(data: dict, count: str) -> dict:
-    """``count`` and 'method' if ``data`` has them; absent keys take the dataclass defaults."""
-    if count in data:
-        _as_int(data[count], count)
-    return {key: data[key] for key in (count, "method") if key in data}
-
-
-_ENSEMBLE_KEYS = _SHARED_KEYS + ("gamma_list", "n_run", "n_batch", "method")
-_GENERAL_KEYS = _SHARED_KEYS + ("coupling_strength", "kernel", "n_draws", "method", "coupling_file")
+    return {**shared, **{name: getattr(config, name) for name in ("dim", "beta", "master_seed", "method", *names)}}
 
 
 def parse_ensemble_config(data: dict, base: Path, seed_override=None):
     """Read a simulate/theory config; returns (ExperimentConfig, resolved dict)."""
-    _no_unknown(data, _ENSEMBLE_KEYS, "config")
-    shared, resolved = _read_shared(data, base, seed_override)
-    raw_gammas = _require(data, "gamma_list", "config")
-    if not isinstance(raw_gammas, list) or not raw_gammas:
+    kwargs = _fields(data, base, seed_override, ("gamma_list", "n_run"), ("n_batch",))
+    if not isinstance(data["gamma_list"], list) or not data["gamma_list"]:
         raise ConfigError("'gamma_list' must be a non-empty list of rates")
-    gammas = [_as_float(g, "gamma_list entry") for g in raw_gammas]
-    n_run = _as_int(_require(data, "n_run", "config"), "n_run")
-    config = _build(ExperimentConfig, **shared, gamma_list=tuple(gammas), n_run=n_run, **_optional(data, "n_batch"))
+    config = _build(ExperimentConfig, **kwargs)
     tags = {}
     for g in config.gamma_list:
         other = tags.setdefault(gamma_tag(g), g)
         if other != g:
             raise ConfigError(f"gamma_list rates {other!r} and {g!r} share the file tag '{gamma_tag(g)}'")
-    resolved.update(gamma_list=gammas, n_run=n_run, n_batch=config.n_batch, method=config.method)
-    return config, resolved
+    return config, {**_resolved(config, data, "n_run", "n_batch"), "gamma_list": list(config.gamma_list)}
 
 
 def parse_general_config(data: dict, base: Path, seed_override=None):
     """Read a general-form config; returns (GeneralConfig, resolved dict)."""
-    _no_unknown(data, _GENERAL_KEYS, "config")
-    shared, resolved = _read_shared(data, base, seed_override)
-    strength = _as_float(_require(data, "coupling_strength", "config"), "coupling_strength")
-
-    kdata = _require(data, "kernel", "config")
-    if not isinstance(kdata, dict):
-        raise ConfigError("'kernel' must be an object")
-    _require(kdata, "kind", "config.kernel")
-    _no_unknown(kdata, ("kind", "tau_c", "c0"), "config.kernel")
-    # the kind and the values are checked by CorrelationKernel
-    resolved_kernel = {k: v if k == "kind" else _as_float(v, f"kernel.{k}") for k, v in kdata.items()}
-    kernel = _build(CorrelationKernel, "config.kernel: ", **resolved_kernel)
-    resolved_kernel["c0"] = kernel.c0
-
-    coupling_file = data.get("coupling_file")
-    coupling = None if coupling_file is None else _load_matrix(coupling_file, "coupling_file", base)
-    config = _build(
-        GeneralConfig, **shared, strength=strength, kernel=kernel, coupling=coupling,
-        **_optional(data, "n_draws"),
-    )
-    resolved.update(
-        coupling_strength=strength, kernel=resolved_kernel, n_draws=config.n_draws,
-        method=config.method, coupling_file=coupling_file,
-    )
+    kwargs = _fields(data, base, seed_override, ("coupling_strength", "kernel"), ("n_draws", "coupling_file"))
+    kdata = _object(kwargs.pop("kernel"), "config.kernel", ("kind",), ("tau_c", "c0"))
+    kwargs["kernel"] = _build(CorrelationKernel, "config.kernel: ", **kdata)
+    kwargs["strength"] = kwargs.pop("coupling_strength")
+    coupling_file = kwargs.pop("coupling_file", None)
+    if coupling_file is not None:
+        kwargs["coupling"] = _load_matrix(coupling_file, "coupling_file", base)
+    config = _build(GeneralConfig, **kwargs)
+    resolved = {
+        **_resolved(config, data, "n_draws"), "coupling_strength": config.strength, "coupling_file": coupling_file,
+        # the kernel keys the config gives, and c0, which has a default
+        "kernel": {key: getattr(config.kernel, key) for key in {"c0", *kdata}},
+    }
     return config, resolved
 
 

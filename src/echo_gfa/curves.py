@@ -2,14 +2,31 @@
 
 Everything downstream (echo dynamics, master-equation traces, the Volterra
 solver, ensemble averages) exchanges data as a :class:`FidelityCurve` on a
-shared :class:`TimeGrid`, so grid compatibility is checked in one place.
+shared :class:`TimeGrid`, so grid compatibility is checked in one place, as
+are integer and real config values (:func:`check_integer`, :func:`check_number`).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is a Python or numpy integer, not a bool, >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_number(name: str, value) -> float:
+    """``value`` as a float; raises ValueError unless it is a finite int or float, not a bool."""
+    is_number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    # NaN fails the comparison, and so do infinities and ints beyond the float range
+    if is_number and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -20,10 +37,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
-        if isinstance(self.n_steps, (bool, np.bool_)) or int(self.n_steps) != self.n_steps or self.n_steps < 1:
-            raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
+        object.__setattr__(self, "dt", check_number("dt", self.dt))
+        if self.dt <= 0.0:
+            raise ValueError(f"dt must be > 0, got {self.dt!r}")
+        check_integer("n_steps", self.n_steps, 1)
         if not np.isfinite(self.t_max):
             raise ValueError(f"grid end n_steps * dt = {self.n_steps} * {self.dt!r} is not finite")
 

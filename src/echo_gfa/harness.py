@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import volterra
-from .curves import FidelityCurve, TimeGrid, check_same_grid
+from .curves import FidelityCurve, TimeGrid, check_integer, check_number, check_same_grid
 from .echo import EchoOperator, EchoSetup, check_hermitian
 from .master import CorrelationKernel, check_method, general_generator, propagate, rmt_generator, trace_curve
 from .rmt import EnsembleConfig, build_realization, sample_gaussian, stream
@@ -37,20 +37,14 @@ SIM_METHODS = ("auto", "volterra-per-realization")
 _CHUNK_REALIZATIONS = 32
 
 
-def _check_count(name: str, value) -> None:
-    if isinstance(value, (bool, np.bool_)) or int(value) != value or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def _check_shared(config) -> np.ndarray | None:
     """Checks common to both config kinds; returns the checked initial state.
 
-    ``initial_state = None`` selects the maximally mixed state 1/dim.
+    ``initial_state = None`` selects the maximally mixed state 1/dim.  ``lam`` is stored as a float.
     """
     # EnsembleConfig checks dim/beta/master_seed
     EnsembleConfig(config.dim, config.beta, config.master_seed)
-    if not np.isfinite(config.lam):
-        raise ValueError(f"lam must be finite, got {config.lam!r}")
+    config.lam = check_number("lambda", config.lam)
     setup = EchoSetup(config.lam, config.grid, config.initial_state)
     return None if config.initial_state is None else setup.state(config.dim)
 
@@ -72,12 +66,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self.initial_state = _check_shared(self)
-        gammas = tuple(volterra.check_rates(self.gamma_list, self.grid.dt).tolist())
+        gammas = tuple(check_number("gamma_list entry", g) for g in self.gamma_list)
+        volterra.check_rates(gammas, self.grid.dt)
         if len(set(gammas)) != len(gammas):
             raise ValueError(f"gamma_list has duplicates: {self.gamma_list!r}")
         self.gamma_list = gammas
-        _check_count("n_run", self.n_run)
-        _check_count("n_batch", self.n_batch)
+        check_integer("n_run", self.n_run, 1)
+        check_integer("n_batch", self.n_batch, 1)
         if self.method not in SIM_METHODS:
             raise ValueError(
                 f"method must be one of {SIM_METHODS}, got {self.method!r} "
@@ -111,9 +106,10 @@ class GeneralConfig:
 
     def __post_init__(self) -> None:
         self.initial_state = _check_shared(self)
-        if not np.isfinite(self.strength):
-            raise ValueError(f"coupling strength must be finite, got {self.strength!r}")
-        _check_count("n_draws", self.n_draws)
+        self.strength = check_number("coupling_strength", self.strength)
+        if not np.isfinite(self.strength * self.strength * self.dim * self.kernel.c0):
+            raise ValueError(f"coupling_strength = {self.strength!r} makes strength**2 * dim * c0 infinite")
+        check_integer("n_draws", self.n_draws, 1)
         check_method(self.method, self.dim)
         if self.coupling is not None:
             coupling = np.asarray(self.coupling, dtype=complex)
@@ -222,7 +218,7 @@ def _chunk_task(args):
 
 def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     """Simulate the ensemble and derive theory curves from its averages."""
-    _check_count("n_jobs", n_jobs)
+    check_integer("n_jobs", n_jobs, 1)
     grid = config.grid
     n_total = config.n_batch * config.n_run
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import FidelityCurve, TimeGrid
+from .curves import FidelityCurve, TimeGrid, check_number
 from .echo import Spectral, check_hermitian, check_initial_state
 
 PROPAGATION_METHODS = ("superoperator", "stepper")
@@ -82,16 +82,16 @@ class CorrelationKernel:
     tau_c: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind == "delta":
-            if self.tau_c != 0.0:
-                raise ValueError(f"a delta kernel has tau_c = 0, got {self.tau_c!r}")
-        elif self.kind == "exponential":
-            if not (np.isfinite(self.tau_c) and self.tau_c > 0.0):
-                raise ValueError(f"tau_c must be finite and > 0, got {self.tau_c!r}")
-        else:
+        if self.kind not in ("delta", "exponential"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if not (np.isfinite(self.c0) and self.c0 > 0.0):
-            raise ValueError(f"bath weight c0 must be finite and > 0, got {self.c0!r}")
+        object.__setattr__(self, "tau_c", check_number("tau_c", self.tau_c))
+        object.__setattr__(self, "c0", check_number("c0", self.c0))
+        if self.kind == "delta" and self.tau_c != 0.0:
+            raise ValueError(f"a delta kernel has tau_c = 0, got {self.tau_c!r}")
+        if self.kind == "exponential" and self.tau_c <= 0.0:
+            raise ValueError(f"tau_c must be > 0, got {self.tau_c!r}")
+        if self.c0 <= 0.0:
+            raise ValueError(f"bath weight c0 must be > 0, got {self.c0!r}")
 
     @classmethod
     def delta(cls, c0: float) -> "CorrelationKernel":
@@ -201,12 +201,13 @@ def general_generator(h_lambda: np.ndarray, h_zero: np.ndarray, coupling: np.nda
                       kernel: CorrelationKernel, strength: float) -> EchoGenerator:
     """Born-Markov generator: both bath transforms up front, and the dissipator as four terms."""
     h_lambda, h_zero = _check_hamiltonians(h_lambda, h_zero)
-    if not np.isfinite(strength):
-        raise ValueError(f"coupling strength must be finite, got {strength!r}")
+    strength = check_number("coupling strength", strength)
+    if not np.isfinite(strength * strength):  # strength ** 2 would raise OverflowError
+        raise ValueError(f"coupling strength squared is not finite, got {strength!r}")
     v = np.asarray(coupling, dtype=complex)
     gl = gamma_operator(kernel, Spectral.from_matrix(h_lambda), v)
     g0 = gamma_operator(kernel, Spectral.from_matrix(h_zero), v)
-    g2 = float(strength) ** 2
+    g2 = strength ** 2
     terms = ((-g2 * (v @ gl), None), (g2 * v, g0), (g2 * gl, v), (None, -g2 * (g0 @ v)))
     return EchoGenerator(h_lambda, h_zero, terms)
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import check_integer
+
 # spawn-key tags; appending new purposes keeps existing streams stable
 _STREAM_TAGS = {"levels": 0, "perturbation": 1, "coupling": 2}
 
@@ -38,17 +40,12 @@ class EnsembleConfig:
     realization_index: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("dim", "beta", "master_seed", "realization_index"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
-        if self.beta not in (1, 2):
+        check_integer("dim", self.dim, 2)
+        check_integer("beta", self.beta, 1)
+        if self.beta > 2:
             raise ValueError(f"beta must be 1 (orthogonal) or 2 (unitary), got {self.beta!r}")
-        if int(self.master_seed) != self.master_seed or self.master_seed < 0:
-            raise ValueError(f"master_seed must be a non-negative integer, got {self.master_seed!r}")
-        if int(self.realization_index) != self.realization_index or self.realization_index < 0:
-            raise ValueError(f"realization_index must be a non-negative integer, got {self.realization_index!r}")
+        check_integer("master_seed", self.master_seed, 0)
+        check_integer("realization_index", self.realization_index, 0)
 
 
 def stream(config: EnsembleConfig, purpose: str) -> np.random.Generator:
@@ -65,8 +62,7 @@ def stream(config: EnsembleConfig, purpose: str) -> np.random.Generator:
 
 def sample_gaussian(dim: int, beta: int, rng: np.random.Generator) -> np.ndarray:
     """One Gaussian-ensemble matrix; exactly (conjugate-)symmetric by construction."""
-    if int(dim) != dim or dim < 2:
-        raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
+    check_integer("dim", dim, 2)
     if beta == 1:
         a = rng.standard_normal((dim, dim))
         return (a + a.T) / np.sqrt(2.0)

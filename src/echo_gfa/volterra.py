@@ -119,10 +119,11 @@ def check_inputs(f: FidelityCurve, kernel: FidelityCurve) -> TimeGrid:
 
 
 def check_rates(gammas, dt: float) -> np.ndarray:
-    """Rates as a 1-D float array; each must be finite, >= 0 and satisfy Gamma dt / 2 < 1."""
-    gammas = np.asarray(gammas, dtype=float)
-    if gammas.ndim != 1:
-        raise ValueError("gammas must be one-dimensional")
+    """Rates as a 1-D float array; each must be a finite number >= 0 with Gamma dt / 2 < 1."""
+    gammas = np.asarray(gammas)
+    if gammas.ndim != 1 or gammas.dtype.kind not in "iuf":
+        raise ValueError(f"gammas must be a one-dimensional array of numbers, got {gammas.tolist()!r}")
+    gammas = gammas.astype(float, copy=False)
     if np.any(~np.isfinite(gammas)) or np.any(gammas < 0.0):
         raise ValueError(f"every gamma must be finite and >= 0, got {gammas.tolist()!r}")
     bad = 0.5 * gammas * dt

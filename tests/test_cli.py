@@ -726,9 +726,60 @@ class TestSummaryLines:
 
 class TestValidateAndErrors:
     def test_packaged_presets_validate(self, capsys):
-        for preset in ("fig1.json", "fig2.json"):
+        # the resolved values that every manifest of these presets records
+        expected = {
+            "fig1.json": '"gamma_list": [0.01, 0.05, 0.077, 0.1], "grid": {"dt": 0.02, "n_steps": 600}, '
+            '"initial_state": "maximally-mixed", "lambda": 0.1, "master_seed": 12345, ',
+            "fig2.json": '"gamma_list": [0.00195, 0.01, 0.02285, 0.1], "grid": {"dt": 0.02, "n_steps": 600}, '
+            '"initial_state": "maximally-mixed", "lambda": 0.02, "master_seed": 67890, ',
+        }
+        for preset, middle in expected.items():
             assert main(["validate-config", "--config", preset]) == EXIT_OK
-            assert "config OK" in capsys.readouterr().out
+            assert capsys.readouterr().out == (
+                'config OK (ensemble): {"beta": 1, "dim": 50, ' + middle
+                + '"method": "volterra-per-realization", "n_batch": 3, "n_run": 1000}\n'
+            )
+
+    @pytest.mark.parametrize(
+        "kind, values, key",
+        [
+            ("ensemble", {"dim": 8.0}, "dim"),
+            ("ensemble", {"beta": True}, "beta"),
+            ("ensemble", {"n_run": 2.0}, "n_run"),
+            ("ensemble", {"n_batch": "2"}, "n_batch"),
+            ("general", {"n_draws": 1.0}, "n_draws"),
+            ("ensemble", {"lambda": "x"}, "lambda"),
+            ("ensemble", {"lambda": 10**400}, "lambda"),
+            ("general", {"coupling_strength": None}, "coupling_strength"),
+            ("general", {"coupling_strength": 1e155}, "coupling_strength"),
+            ("ensemble", {"gamma_list": ["0.1"]}, "gamma_list"),
+            ("ensemble", {"gamma_list": [True]}, "gamma_list"),
+            ("ensemble", {"grid": [0.05, 40]}, "config.grid"),
+            ("ensemble", {"grid": {"dt": "x", "n_steps": 40}}, "dt"),
+            ("ensemble", {"grid": {"dt": 0.05, "n_steps": None}}, "n_steps"),
+            ("general", {"kernel": ["delta"]}, "kernel"),
+            ("general", {"kernel": {"c0": 1.0}}, "kind"),
+            ("general", {"kernel": {"kind": "delta", "c0": "x"}}, "config.kernel: c0"),
+            ("ensemble", {"initial_state": 5}, "initial_state"),
+            ("general", {"coupling_file": 3, "n_draws": 1}, "coupling_file"),
+        ],
+        ids=[
+            "dim-float", "beta-bool", "n_run-float", "n_batch-string", "n_draws-float", "lambda-string",
+            "lambda-beyond-float", "strength-null", "strength-square-overflows", "gamma-string",
+            "gamma-bool", "grid-list", "dt-string", "n_steps-null", "kernel-list", "kernel-without-kind",
+            "c0-string", "initial_state-number", "coupling_file-number",
+        ],
+    )
+    def test_wrongly_typed_values_are_config_errors(self, tmp_path, capsys, kind, values, key):
+        # exit 2 naming the key from validate-config and from the run command alike
+        write, command = (write_config, "simulate") if kind == "ensemble" else (write_general_config, "general")
+        cfg = write(tmp_path / "c.json")
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **values}))
+        out = tmp_path / "out"
+        for argv in (["validate-config", "--config", str(cfg)], [command, "--config", str(cfg), "--out", str(out)]):
+            assert main(argv) == EXIT_CONFIG
+            assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_lists_presets(self, tmp_path, capsys):
         rc = main(["validate-config", "--config", str(tmp_path / "none.json")])

@@ -58,6 +58,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(initial_state=np.eye(3) / 3)  # dim mismatch
 
+    @pytest.mark.parametrize("rate", ["0.1", True, np.True_, None])
+    def test_rejects_rates_that_are_not_numbers(self, rate):
+        with pytest.raises(ValueError, match="gamma_list"):
+            small_config(gamma_list=(rate,))
+        with pytest.raises(ValueError, match="gamma_list"):
+            small_config(gamma_list=(0.05, rate))
+
+    def test_stores_real_values_as_floats(self):
+        config = small_config(lam=1, gamma_list=(0, 1), grid=TimeGrid(dt=1, n_steps=4))
+        assert [type(v) for v in (config.lam, *config.gamma_list, config.grid.dt)] == [float] * 4
+        general = small_general_config(strength=1, kernel=CorrelationKernel("exponential", c0=2, tau_c=1))
+        assert [type(v) for v in (general.strength, general.kernel.c0, general.kernel.tau_c)] == [float] * 3
+
     def test_rejects_rate_too_large_for_grid(self):
         # gamma * dt / 2 = 1 at dt = 0.05: the trapezoid update is singular
         with pytest.raises(ValueError, match="gamma = 40"):
@@ -74,7 +87,9 @@ def small_general_config(**kw):
     return GeneralConfig(**base)
 
 
-@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize(
+    "flag", [True, np.True_, 2.0, "2", None], ids=["bool", "numpy-bool", "float", "string", "none"]
+)
 @pytest.mark.parametrize(
     "build",
     [
@@ -90,7 +105,8 @@ def small_general_config(**kw):
     ids=["beta", "master_seed", "realization_index", "n_steps", "n_run", "n_batch", "n_draws", "n_jobs"],
 )
 def test_integer_fields_reject_booleans(build, flag):
-    # True == 1, so a bare integer check would read it as one; the CLI rejects it in JSON too
+    # and every other non-integer: True == 1 and 2.0 == 2, so an equality check would read
+    # them as integers; the CLI passes JSON values to these fields unchanged
     with pytest.raises(ValueError, match="integer"):
         build(flag)
 
@@ -357,6 +373,12 @@ class TestBatchedChunk:
 
 
 class TestRunGeneral:
+    @pytest.mark.parametrize("strength, c0", [(1e155, 1.0), (10.0, 1e307)])
+    def test_rejects_strength_whose_reduction_rate_overflows(self, strength, c0):
+        # strength**2 * dim * c0 at dim 4 is not finite; the generator would overflow in run_general
+        with pytest.raises(ValueError, match="coupling_strength"):
+            small_general_config(strength=strength, kernel=CorrelationKernel.delta(c0))
+
     def test_cli_writes_exactly_what_run_general_returns(self, tmp_path):
         # the general command adds only I/O: its files and manifest hold the
         # runner's curves, error columns and reduction rate, bit for bit

@@ -248,6 +248,13 @@ class TestGenerators:
         unitary = -1j * ((h0 + v) @ rho - rho @ h0)
         assert np.array_equal(gen.apply(rho), unitary)
 
+    @pytest.mark.parametrize("strength", [1e155, np.inf, np.nan, "0.1", True])
+    def test_general_rejects_strength_without_a_finite_square(self, strength):
+        # 1e155 ** 2 raises OverflowError as a Python float
+        v = np.diag([1.0, -1.0])
+        with pytest.raises(ValueError, match="coupling strength"):
+            general_generator(np.eye(2), np.eye(2), v, CorrelationKernel.delta(1.0), strength)
+
     def test_rate_validation(self):
         with pytest.raises(ValueError):
             rmt_generator(np.eye(2), np.eye(2), rate=-0.1)

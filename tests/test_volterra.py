@@ -79,6 +79,13 @@ class TestConvolve:
             convolve(a, b)
 
 
+def test_check_rates_rejects_arrays_of_non_numbers():
+    for gammas in (["0.1"], [True], np.array([0.1, None]), [[0.1]]):
+        with pytest.raises(ValueError, match="array of numbers"):
+            volterra_mod.check_rates(gammas, 0.1)
+    assert volterra_mod.check_rates(np.array([1, 2], dtype=np.uint8), 0.1).tolist() == [1.0, 2.0]
+
+
 class TestSolve:
     def test_zero_rate_returns_forcing_bitwise(self):
         grid = TimeGrid(dt=0.05, n_steps=100)
