@@ -19,15 +19,14 @@ keys, the ``initial_state`` token, ``.npy`` files, a non-empty ``gamma_list`` wi
 distinct file tags.  The config dataclasses check each value's type and range.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-failure.  Outputs are deterministic functions of the config: they are
-byte-identical for every ``--threads`` value and BLAS thread setting.  Timings
-go to stdout only.
+failure or out of memory.  Outputs are deterministic functions of the
+config: they are byte-identical for every ``--threads`` value and BLAS thread
+setting.  Timings go to stdout only.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import itertools
 import json
@@ -44,11 +43,13 @@ from .curves import TimeGrid
 from .harness import (
     ExperimentConfig,
     GeneralConfig,
+    _pin_numpy_blas,
     difference_curve,
     run_ensemble,
     run_general,
     theory_pipeline,
 )
+from .harness import BLAS_THREAD_VARS  # noqa: F401  the thread variables the CLI honours, importable from it
 from .master import CorrelationKernel
 from .master import propagate  # noqa: F401  perfbench/tracing.py wraps cli.propagate
 from .rmt import build_realization  # noqa: F401  perfbench/tracing.py wraps cli.build_realization
@@ -61,27 +62,7 @@ EXIT_NUMERIC = 4
 
 THREADS_ENV = "ECHO_GFA_THREADS"
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _pin_numpy_blas() -> None:
-    """Run numpy's bundled OpenBLAS on one thread, unless a thread variable is set.
-
-    Every numpy BLAS call here is small (eigh at dim <= 64, phase-table GEMMs,
-    Volterra products), and OpenBLAS's second thread only spin-waits on them.
-    Done at import, so forked pool workers inherit one thread each.  scipy, and
-    with it scipy's own OpenBLAS, is loaded only once ``general`` propagates; that
-    library keeps its pool for zgemm and zgemv on the d^2 x d^2 step matrix.
-    """
-    if any(var in os.environ for var in BLAS_THREAD_VARS):
-        return
-    try:
-        # looked up through numpy's linalg extension, whose handle also searches the libraries it links
-        ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_set_num_threads64_(1)
-    except (OSError, AttributeError):
-        pass  # not numpy's scipy-openblas wheel: leave BLAS as it is
-
-
+# numpy's BLAS on one thread for the whole CLI process; pool workers pin their own
 _pin_numpy_blas()
 
 
@@ -431,6 +412,10 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (ValueError, RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        # numpy's message names the size and shape it could not allocate
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

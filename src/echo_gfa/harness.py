@@ -20,7 +20,8 @@ call, on the batch-averaged inputs <f> and <tr M>/dim.
 
 from __future__ import annotations
 
-import functools
+import ctypes
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,6 +217,38 @@ def _chunk_task(args):
     return start, f_out, k_out, fg_out
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _pin_numpy_blas() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, unless a thread variable is set.
+
+    Every numpy BLAS call here is small (eigh at dim <= 64, phase-table GEMMs,
+    Volterra products), and OpenBLAS's second thread only spin-waits on them.
+    The CLI calls this at import, and each pool worker calls it in its
+    initializer, so a worker runs one thread whatever the start method: a
+    forkserver or spawn worker imports this module, not the CLI.  scipy, and
+    with it scipy's own OpenBLAS, is loaded only once ``general`` propagates a
+    dense step; that library keeps its pool for zgemm and zgemv on the
+    d^2 x d^2 step matrix.
+    """
+    if any(var in os.environ for var in BLAS_THREAD_VARS):
+        return
+    try:
+        # looked up through numpy's linalg extension, whose handle also searches the libraries it links
+        set_threads = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return  # not numpy's scipy-openblas wheel: leave BLAS as it is
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+
+
+def _init_worker(errstate: dict) -> None:
+    """Pool initializer: the caller's floating-point handling, numpy's BLAS on one thread."""
+    np.seterr(**errstate)
+    _pin_numpy_blas()
+
+
 def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     """Simulate the ensemble and derive theory curves from its averages."""
     check_integer("n_jobs", n_jobs, 1)
@@ -239,9 +272,7 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
         from concurrent.futures import ProcessPoolExecutor
 
         # the workers handle floating-point errors as the caller does (np.errstate)
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=functools.partial(np.seterr, **np.geterr())
-        )
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(np.geterr(),))
     try:
         results = map(_chunk_task, tasks) if pool is None else pool.map(_chunk_task, tasks)
         for start, *parts in results:

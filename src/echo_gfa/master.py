@@ -161,31 +161,28 @@ class EchoGenerator:
     def superoperator(self) -> np.ndarray:
         """Dense matrix L with L vec(rho) = vec(apply(rho)), row-major vec.
 
-        Built from Kronecker products in O(d^4): a term A rho B is
-        (A kron B^T) vec(rho), so it adds A[a, i] B[j, b] to L[a d + b, i d + j].
-        The Hamiltonian pair and ``terms`` are read as :meth:`apply` reads
-        them, and the rows of each a are filled in place, with no d^4 temporary.
+        A term A rho B is (A kron B^T) vec(rho): it adds A[a, i] B[j, b] to
+        l[a, b, i, j] = L[a d + b, i d + j].  The Hamiltonian pair and ``terms``
+        are read as :meth:`apply` reads them, each in one vectorised update of
+        that view: a left-only term fills its diagonal j = b, a right-only term
+        its diagonal i = a, and a product term is one d^4 outer product.
         """
         d = self.dim
         l = np.zeros((d, d, d, d), dtype=complex)
         terms = ((-1j * self.h_lambda, None), (None, 1j * self.h_zero)) + self.terms
-        for a in range(d):
-            # rows[b, i, j] = L[a d + b, i d + j]; a left-only term sits at j = b,
-            # a right-only term at i = a
-            rows = l[a]
-            for left, right in terms:
-                if right is None:
-                    np.einsum("bib->ib", rows)[...] += left[a, :, None]
-                elif left is None:
-                    rows[:, a, :] += right.T
-                else:
-                    rows += left[a, None, :, None] * right.T[:, None, :]
-            if self.rate:
-                # -rate (rho - tr[rho]/d 1): rho at i = a, j = b meets tr[rho] 1 at i = j = a
-                unit = np.eye(d)
-                unit[a, a] -= 1.0 / d
-                rows[:, a, :] -= self.rate * unit
-                np.einsum("ii->i", rows[a])[...] += self.rate * (1.0 / d) * (np.arange(d) != a)
+        for left, right in terms:
+            if right is None:
+                np.einsum("abib->abi", l)[...] += left[:, None, :]
+            elif left is None:
+                np.einsum("abaj->abj", l)[...] += right.T
+            else:
+                l += left[:, None, :, None] * right.T[:, None, :]
+        if self.rate:
+            # -rate (1 - vec(1) vec(1)^T / d): rho sits at (i, j) = (a, b) and tr[rho] 1 at
+            # a = b, i = j; where both meet, one product -rate (1 - 1/d) keeps L's rounding
+            mixed = np.eye(d) / d
+            np.einsum("abab->ab", l)[...] -= self.rate * (1.0 - mixed)
+            np.einsum("aaii->ai", l)[...] += self.rate * (1.0 / d - mixed)
         return l.reshape(d * d, d * d)
 
 
@@ -230,12 +227,6 @@ class Trajectory:
     grid: TimeGrid
     states: np.ndarray
 
-    def __post_init__(self) -> None:
-        states = np.asarray(self.states, dtype=complex)
-        if states.ndim != 3 or states.shape[0] != len(self.grid) or states.shape[1] != states.shape[2]:
-            raise ValueError(f"states shape {states.shape} does not match grid/dim")
-        self.states = states
-
 
 # Bader, Blanes & Casas, "Computing the matrix exponential with an optimized Taylor
 # polynomial approximation", Mathematics 7, 1174 (2019): the degree-18 Taylor
@@ -264,15 +255,14 @@ def _step_matrix(l: np.ndarray, dt: float) -> np.ndarray:
     into one preallocated (5, n, n) buffer: A, A^2, A^3 and A^6 fill slots
     0-3, the five B_i overwrite slots 0-4, then A_9 = B_0 B_4 + B_3 and
     T = B_1 + (B_2 + A_9) A_9, which is squared s times.  The result is a view
-    of that buffer.  A diagonal L gets its exponential elementwise, which is exact.
+    of that buffer.  A diagonal L returns the vector exp(diag(L) dt) instead,
+    not an n x n matrix: its exponential is elementwise and exact.
     """
-    from scipy.linalg.blas import zgemm
-
     diagonal = np.diagonal(l)
     if np.count_nonzero(l) == np.count_nonzero(diagonal):
-        step = np.zeros_like(l)
-        np.einsum("ii->i", step)[...] = np.exp(diagonal * dt)
-        return step
+        return np.exp(diagonal * dt)
+    from scipy.linalg.blas import zgemm
+
     norm = float(np.abs(l).sum(axis=0).max()) * dt
     if not np.isfinite(norm):
         raise PropagationError(f"generator norm ||L dt||_1 = {norm} is not finite")
@@ -318,20 +308,23 @@ def _step_matrix(l: np.ndarray, dt: float) -> np.ndarray:
 def _propagate_superoperator(gen: EchoGenerator, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """States vec(X(t_k)) = exp(L dt)^k vec(X(0)) on the uniform grid, as (len(grid), d, d).
 
-    One step matrix serves every point: :func:`_step_matrix`, the degree-18
-    Taylor polynomial in five products with scaling and squaring (Bader,
-    Blanes & Casas, Mathematics 7, 1174, 2019).  Each step is a matrix-vector
-    product on the BLAS whose zgemm built the step matrix.
+    One step from :func:`_step_matrix` serves every point.  A diagonal
+    generator's step is a vector, applied elementwise; a dense step is a
+    matrix-vector product on the BLAS whose zgemm built it.
     """
-    # only this method needs scipy.linalg, whose import alone takes about 0.35 s
-    from scipy.linalg.blas import zgemv
-
     step = _step_matrix(gen.superoperator(), grid.dt)
-    # step.T is an F-contiguous view, so trans=1 applies step itself without a copy
-    step_t = step.T
     d = gen.dim
     states = np.empty((len(grid), d * d), dtype=complex)
     states[0] = rho0.reshape(-1)
+    if step.ndim == 1:
+        for k in range(1, len(grid)):
+            np.multiply(step, states[k - 1], out=states[k])
+        return states.reshape(len(grid), d, d)
+    # only a dense step needs scipy.linalg, whose import alone takes about 0.35 s
+    from scipy.linalg.blas import zgemv
+
+    # step.T is an F-contiguous view, so trans=1 applies step itself without a copy
+    step_t = step.T
     for k in range(1, len(grid)):
         # scipy's zgemv, not np.matmul: the CLI runs numpy's OpenBLAS on one thread, scipy's keeps its pool
         states[k] = zgemv(1.0, step_t, states[k - 1], trans=1)
@@ -377,8 +370,8 @@ def propagate(
 ) -> Trajectory:
     """Integrate the master equation from a density matrix over a grid.
 
-    ``superoperator`` builds one step matrix exp(L dt) from the dense,
-    Kronecker-built generator L (dims up to 64) and applies it once per grid
+    ``superoperator`` builds one step matrix exp(L dt) from the dense
+    generator L (dims up to 64) and applies it once per grid
     step; it needs no eigenbasis, so defective generators are handled too.
     The step matrix is the degree-18 Taylor polynomial, exact to unit
     roundoff, evaluated in five matrix products with scaling and squaring

@@ -63,6 +63,7 @@ def stream(config: EnsembleConfig, purpose: str) -> np.random.Generator:
 def sample_gaussian(dim: int, beta: int, rng: np.random.Generator) -> np.ndarray:
     """One Gaussian-ensemble matrix; exactly (conjugate-)symmetric by construction."""
     check_integer("dim", dim, 2)
+    check_integer("beta", beta, 1)
     if beta == 1:
         a = rng.standard_normal((dim, dim))
         return (a + a.T) / np.sqrt(2.0)

@@ -725,6 +725,15 @@ class TestSummaryLines:
 
 
 class TestValidateAndErrors:
+    @pytest.mark.parametrize("command", ["simulate", "general"])
+    def test_grid_too_large_to_allocate_is_exit_4(self, tmp_path, capsys, command):
+        # 1e17 complex points ask for exabytes, beyond any 64-bit address space, so
+        # the first curve array fails to allocate at once and touches no memory
+        write = write_config if command == "simulate" else write_general_config
+        cfg = write(tmp_path / "c.json", grid={"dt": 1e-12, "n_steps": 10**17})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+        assert "out of memory: Unable to allocate" in capsys.readouterr().err
+
     def test_packaged_presets_validate(self, capsys):
         # the resolved values that every manifest of these presets records
         expected = {
@@ -1067,5 +1076,42 @@ config = harness.ExperimentConfig(
 )
 harness.run_ensemble(config, n_jobs=2)
 """
+        )
+        assert counts == [1, 1]
+
+    def test_forkserver_workers_pin_one_thread(self, tmp_path):
+        # a forkserver worker imports echo_gfa.harness but not the CLI, so it inherits
+        # no pin from this process: the pool initializer must set one thread itself.
+        # The reporting task lives in a module that the workers can import.
+        (tmp_path / "blas_probe.py").write_text(
+            self.PRELUDE
+            + """
+import os
+from echo_gfa import harness
+
+chunk_task = harness._chunk_task
+
+def reporting(args):
+    os.write(1, b"%d\\n" % blas_threads("numpy.libs"))
+    return chunk_task(args)
+"""
+        )
+        counts = self.run(
+            """
+import multiprocessing
+import blas_probe
+import echo_gfa.cli
+from echo_gfa import harness
+from echo_gfa.curves import TimeGrid
+
+multiprocessing.set_start_method("forkserver")
+harness._chunk_task = blas_probe.reporting
+config = harness.ExperimentConfig(
+    dim=4, beta=2, master_seed=1, lam=0.1, gamma_list=(0.1,),
+    grid=TimeGrid(dt=0.1, n_steps=10), n_run=32, n_batch=2,
+)
+harness.run_ensemble(config, n_jobs=2)
+""",
+            PYTHONPATH=str(tmp_path),
         )
         assert counts == [1, 1]

@@ -192,6 +192,15 @@ class TestGenerators:
         l = gen.superoperator()
         assert l.shape == (n, n)
         assert np.max(np.abs(l - expected)) <= 1e-15 * np.max(np.abs(expected))
+        # and bit for bit against the Kronecker sum, term by term in apply's order
+        # (Hamiltonian pair first), then the damping -rate (1 - vec(1) vec(1)^T / dim)
+        eye = np.eye(dim)
+        kron_sum = np.zeros((n, n), dtype=complex)
+        for a, b in ((-1j * gen.h_lambda, None), (None, 1j * gen.h_zero)) + gen.terms:
+            kron_sum += np.kron(eye if a is None else a, eye if b is None else b.T)
+        if gen.rate:
+            kron_sum += -gen.rate * (np.eye(n) - np.outer(eye.reshape(-1), eye.reshape(-1)) / dim)
+        assert np.array_equal(l, kron_sum)
 
     @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("dim", [3, 8])
@@ -396,12 +405,21 @@ class TestPropagate:
         assert np.max(np.abs(step - exact)) <= 1e-13 * np.max(np.abs(exact))
 
     def test_step_matrix_of_diagonal_generator_is_elementwise(self):
-        # the rate-0 reduction of a diagonal Hamiltonian pair has a diagonal L
-        h = np.diag(np.arange(3.0))
-        l = rmt_generator(h + 0.5 * np.eye(3), h, rate=0.0).superoperator()
+        # lambda = 0 and rate 0 give a diagonal L: its step is the vector exp(diag(L) dt),
+        # and each grid step multiplies the state by it elementwise
+        real = make_realization(dim=5, seed=41)
+        gen = realization_generator(real, lam=0.0, rate=0.0)
+        l = gen.superoperator()
         assert np.count_nonzero(l - np.diag(np.diagonal(l))) == 0
-        step = _step_matrix(l, 0.3)
-        assert np.array_equal(step, np.diag(np.exp(np.diagonal(l) * 0.3)))
+        grid = TimeGrid(dt=0.3, n_steps=40)
+        step = _step_matrix(l, grid.dt)
+        assert np.array_equal(step, np.exp(np.diagonal(l) * grid.dt))
+        rho0 = random_density(5, np.random.default_rng(41))
+        states = _propagate_superoperator(gen, rho0, grid).reshape(len(grid), -1)
+        expected = rho0.reshape(-1)
+        for state in states:
+            assert np.array_equal(state, expected)
+            expected = step * expected
 
     def test_step_matrix_of_overflowing_generator_fails_cleanly(self):
         # finite inputs whose L dt overflows leave no scaling power to choose

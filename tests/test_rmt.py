@@ -66,6 +66,16 @@ class TestSampleGaussian:
         with pytest.raises(ValueError):
             sample_gaussian(4, 3, rng)
 
+    @pytest.mark.parametrize("beta", [True, 2.0, np.float64(1.0)])
+    def test_rejects_beta_that_is_not_an_integer(self, beta):
+        # True == 1 and 2.0 == 2, yet neither names an ensemble
+        with pytest.raises(ValueError, match="beta"):
+            sample_gaussian(4, beta, np.random.default_rng(0))
+
+    def test_accepts_numpy_integer_beta(self):
+        v = sample_gaussian(4, np.int64(2), np.random.default_rng(0))
+        assert np.array_equal(v, sample_gaussian(4, 2, np.random.default_rng(0)))
+
 
 class TestUnfoldedSpectrum:
     @pytest.mark.parametrize("dim", [4, 16, 50])
