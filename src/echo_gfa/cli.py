@@ -324,6 +324,8 @@ def cmd_theory(args) -> int:
         if args.kernels is not None:
             if threads > 1:
                 print("theory: --kernels runs in one process; --threads is ignored", file=sys.stderr)
+            if args.seed is not None:
+                print("theory: --kernels samples nothing; --seed is ignored", file=sys.stderr)
             kdir, fmt = Path(args.kernels), args.format
             f_lambda = read_curve(kdir / f"f_lambda.{fmt}")
             kernel = read_curve(kdir / f"f_bar.{fmt}")

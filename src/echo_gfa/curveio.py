@@ -9,11 +9,8 @@ each number's digits are decided in double-double arithmetic and written as
 a leading digit and two uint64 words of eight ASCII digits each.  A number
 that arithmetic cannot decide exactly is formatted by ``'%.16e' %`` itself.
 The time column is formatted once per grid and kept for the next curve on
-the same grid.  The reader parses a file in the writer's form (that header,
-``%.16e`` fields, every line ending in ``\r\n`` or every one in ``\n``)
-the same way in reverse, handing a field it cannot decide exactly to
-``float()``; any other file goes to ``np.loadtxt``.  Either way the values
-are ``float()``'s and the errors the same.
+the same grid.  Every CSV file is read by ``np.loadtxt`` after its header is
+checked, so its values are the ones ``float()`` gives.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import csv
 import functools
 import hashlib
 import json
-import os
 import warnings
 from pathlib import Path
 
@@ -48,8 +44,8 @@ _COLUMNS = ("t", "re_f", "im_f", "re_err", "im_err")
 _HEADER = ",".join(_COLUMNS).encode()
 # 17 significant digits: lossless round-trip for binary64
 _CSV_NUMBER = "%.16e"
-# rows formatted or parsed per block; bounds the row table (126 bytes a row)
-# and the temporaries held in memory
+# rows formatted per block; bounds the row table (126 bytes a row) and the
+# temporaries held in memory
 _CSV_BLOCK_ROWS = 4096
 # bytes of one number in the row table: sign, 17 digits, '.', 'e', exponent
 # sign and two or three exponent digits; unused bytes are NUL
@@ -107,7 +103,6 @@ _EXPONENTS = np.frombuffer(
     "".join(f"{p:+03d}".ljust(4, "\0") for p in range(-_P_MAX, _P_MAX + 1)).encode(), "<u4"
 )
 _ASCII_ZEROS = 0x3030303030303030
-_HIGH_NIBBLES = 0xF0F0F0F0F0F0F0F0
 
 
 def _split(x):
@@ -117,22 +112,18 @@ def _split(x):
     return head, x - head
 
 
-def _times_pow10(x, x_lo, k):
-    """(x + x_lo) * 10**(16 - p) as a double-double (hi, lo), with table index k = _P_MAX + p.
+def _times_pow10(x, k):
+    """x * 10**(16 - p) as a double-double (hi, lo), with table index k = _P_MAX + p.
 
-    Dekker's exact product of x and the table's hi, plus the cross terms
-    x * lo and x_lo * hi (x_lo None: zero); the relative error is a few
-    units of 2**-104.
+    Dekker's exact product of x and the table's hi, plus the cross term
+    x * lo; the relative error is a few units of 2**-104.
     """
     scale_hi, scale_lo = _POW10_HI[k], _POW10_LO[k]
     x_head, x_tail = _split(x)
     s_head, s_tail = _split(scale_hi)
     hi = x * scale_hi
     lo = ((x_head * s_head - hi) + x_head * s_tail + x_tail * s_head) + x_tail * s_tail
-    cross = x * scale_lo
-    if x_lo is not None:
-        cross += x_lo * scale_hi
-    return hi, lo + cross
+    return hi, lo + x * scale_lo
 
 
 def _ascii8(v):
@@ -153,15 +144,6 @@ def _ascii8(v):
     return v | _ASCII_ZEROS
 
 
-def _digits8(w):
-    """The value of eight ASCII digits in each uint64 w (first digit in the lowest byte), and where w is digits."""
-    ok = ((w & _HIGH_NIBBLES) == _ASCII_ZEROS) & (((w + 0x0606060606060606) & _HIGH_NIBBLES) == _ASCII_ZEROS)
-    v = ((w & 0x0F0F0F0F0F0F0F0F) * 2561) >> 8  # pairs of digits in 16-bit lanes
-    v = ((v & 0x00FF00FF00FF00FF) * 6553601) >> 16  # groups of four in 32-bit lanes
-    v = ((v & 0x0000FFFF0000FFFF) * 42949672960001) >> 32
-    return v.astype(np.int64), ok
-
-
 def _format_e16(x: np.ndarray, out: np.ndarray) -> None:
     """Write the bytes of ``'%.16e' % v`` for each v of x into out, an array of _FIELD_DTYPE.
 
@@ -179,7 +161,7 @@ def _format_e16(x: np.ndarray, out: np.ndarray) -> None:
     ok = np.abs(p) <= _P_MAX  # false for 0, subnormals, inf and nan
     a = np.where(ok, a, 1.0)
     p = np.where(ok, p, 0.0).astype(np.int64)
-    hi, lo = _times_pow10(a, None, _P_MAX + p)
+    hi, lo = _times_pow10(a, _P_MAX + p)
     whole = np.floor(lo)
     frac = lo - whole
     # hi >= 2**53 is an integer, so floor(hi + lo) = hi + whole; a smaller
@@ -246,129 +228,41 @@ def write_curve(path: Path, curve: FidelityCurve, fmt: str) -> None:
             fh.write("\n")
 
 
-def _parse_e16(block: bytes, crlf: bool, out: np.ndarray):
-    """Parse complete CSV lines in the writer's form into the first rows of out; their count, or None if not in it.
-
-    block ends in 8 spare bytes.  Every field must read
-    ``[-]d.dddddddddddddddde(+|-)dd[d]`` and every line hold five of them and
-    end in ``\\r\\n`` (crlf) or ``\\n``.  A field's 17-digit integer n and
-    exponent p give n * 10**(p - 16) in double-double arithmetic, rounded
-    once to the nearest double.  A field that this cannot decide exactly
-    (within 1e-6 ulp of a rounding tie, or p - 16 outside the table, which
-    is also every subnormal or overflowing result) is read by ``float()``,
-    so every value is the one ``float()`` reads.
-    """
-    b = np.frombuffer(block, np.uint8)
-    size = b.size - 8
-    # the eight bytes from each offset, as one little-endian uint64
-    words = np.ndarray((size + 1,), "<u8", b, 0, (1,))
-    line_ends = np.flatnonzero(b == ord("\n"))
-    commas = np.flatnonzero(b == ord(","))
-    rows = line_ends.size
-    if commas.size != 4 * rows or line_ends[-1] != size - 1:
-        return None
-    ends = np.empty((rows, len(_COLUMNS)), np.int64)
-    ends[:, :-1] = commas.reshape(rows, -1)
-    ends[:, -1] = line_ends
-    ends = ends.ravel()
-    if np.any(ends[1:] <= ends[:-1]):  # four commas in every line
-        return None
-    start = np.empty_like(ends)
-    start[0] = 0
-    start[1:] = ends[:-1] + 1
-    if crlf:
-        ends[len(_COLUMNS) - 1 :: len(_COLUMNS)] -= 1
-        if not np.all(b[ends[len(_COLUMNS) - 1 :: len(_COLUMNS)]] == ord("\r")):
-            return None
-    neg = b[start] == ord("-")
-    s = start + neg  # the first digit
-    length = ends - s
-    if not np.all((length == 22) | (length == 23)):
-        return None
-    three = length == 23
-    # each block's arrays of 5 x 4096 fields are dropped once used, to bound memory
-    del length
-    high, high_ok = _digits8(words[s + 2])
-    low, low_ok = _digits8(words[s + 10])
-    lead, d1, d2, d3 = (b[s + j] - np.uint8(ord("0")) for j in (0, 20, 21, 22))
-    exp_sign = b[s + 19]
-    well_formed = (
-        (b[s + 1] == ord(".")) & (b[s + 18] == ord("e")) & ((exp_sign == ord("+")) | (exp_sign == ord("-")))
-        & high_ok & low_ok & (lead < 10) & (d1 < 10) & (d2 < 10) & (~three | (d3 < 10))
-    )
-    if not well_formed.all():
-        return None
-    del s, high_ok, low_ok, well_formed
-
-    n = lead * np.int64(10**16) + high * 10**8 + low
-    del high, low
-    p = 10 * d1.astype(np.int64) + d2
-    p = np.where(three, 10 * p + d3, p)
-    # n * 10**(p - 16) = n * 10**(16 - q) with q = 32 - p: table index _P_MAX + q
-    k = np.where(exp_sign == ord("-"), _P_MAX + 32 + p, _P_MAX + 32 - p)
-    ok = (k >= 0) & (k <= 2 * _P_MAX)
-    k[~ok] = _P_MAX
-    n_hi = n.astype(np.float64)  # n < 10**17: n_hi + n_lo is exact
-    hi, lo = _times_pow10(n_hi, (n - n_hi.astype(np.int64)).astype(np.float64), k)
-    x = hi + lo
-    err = (hi - x) + lo  # x + err is the double-double value, to its own rounding
-    # half the gap to the neighbour on err's side is the rounding boundary
-    gap = np.where(err < 0, x - np.nextafter(x, 0), np.spacing(x))
-    ok &= (np.abs(err) < (0.5 - 1e-6) * gap) | (n == 0)  # a zero is exact
-    np.negative(x, out=x, where=neg)
-    for i in np.flatnonzero(~ok):
-        x[i] = float(block[start[i] : ends[i]])
-    out[:rows] = x.reshape(rows, len(_COLUMNS))
-    return rows
-
-
-def _read_csv_exact(path: Path):
-    """The (rows, 5) numbers of a CSV curve file in the writer's form; None if it is not in it."""
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        if header not in (_HEADER + b"\r\n", _HEADER + b"\n"):
-            return None
-        crlf = header.endswith(b"\r\n")
-        # a line of the writer's form has at least five 22-byte numbers, four commas and '\n'
-        body = os.fstat(fh.fileno()).st_size - len(header)
-        out = np.empty((body // (len(_COLUMNS) * 23), len(_COLUMNS)))
-        rows, rest = 0, b""
-        # about _CSV_BLOCK_ROWS lines a read, cut after the last complete one
-        while chunk := fh.read(_CSV_BLOCK_ROWS * _ROW_DTYPE.itemsize):
-            cut = chunk.rfind(b"\n") + 1
-            if not cut:
-                rest += chunk
-                continue
-            parsed = _parse_e16(b"".join((rest, memoryview(chunk)[:cut], bytes(8))), crlf, out[rows:])
-            if parsed is None:
-                return None
-            rows += parsed
-            rest = chunk[cut:]
-    if rest or not rows:  # no line break after the last line, or no line
-        return None
-    return out[:rows]
+def _json_columns(path: Path, payload) -> np.ndarray:
+    """The (rows, 5) numbers of a JSON curve file: an object of the five columns, each a list of numbers."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: expected an object of columns, got {type(payload).__name__}")
+    for name, col in payload.items():
+        if name not in _COLUMNS:
+            raise ConfigError(f"{path}: unknown column {name!r}, expected {', '.join(_COLUMNS)}")
+        # json.load gives a number as an int or a float; numpy would also take "1" or true
+        if not isinstance(col, list) or not {type(v) for v in col} <= {int, float}:
+            raise ConfigError(f"{path}: column {name!r} must be a list of numbers")
+    try:
+        # one row per grid point, as from the CSV branch
+        return np.stack([np.asarray(payload[name], dtype=float) for name in _COLUMNS], axis=-1)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing column {exc}") from exc
+    except (OverflowError, ValueError) as exc:  # columns of different lengths, an int beyond float
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def read_curve(path: Path) -> FidelityCurve:
     """Read a curve written by :func:`write_curve` (either format).
 
-    A CSV file in the writer's own form is parsed exactly by numpy, a block
-    of rows at a time; any other CSV file by ``np.loadtxt``.  Both give the
-    values ``float()`` gives.
+    A CSV file's header is checked and its rows read by ``np.loadtxt``,
+    which gives the values ``float()`` gives.
     """
     if not path.is_file():
         raise ConfigError(f"missing kernel input: {path}")
     if path.suffix == ".json":
-        try:
-            with open(path) as fh:
+        with open(path) as fh:
+            try:
                 payload = json.load(fh)
-            # one row per grid point, as from the CSV branch
-            arr = np.stack([np.asarray(payload[name], dtype=float) for name in _COLUMNS], axis=-1)
-        except KeyError as exc:
-            raise ConfigError(f"{path}: missing column {exc}") from exc
-        except (TypeError, ValueError) as exc:  # bad JSON, not an object, not numbers
-            raise ConfigError(f"{path}: {exc}") from exc
-    elif (arr := _read_csv_exact(path)) is None:
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
+        arr = _json_columns(path, payload)
+    else:
         with open(path, newline="") as fh:
             header = next(csv.reader([fh.readline()]))
             if header != list(_COLUMNS):
@@ -380,8 +274,6 @@ def read_curve(path: Path) -> FidelityCurve:
                     arr = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
                 except ValueError as exc:
                     raise ConfigError(f"{path}: {exc}") from exc
-    if arr.ndim != 2:
-        raise ConfigError(f"{path}: each column must be a flat list of numbers, got shape {arr.shape[:-1]}")
     if arr.shape[0] < 2:
         raise ConfigError(f"{path}: need at least two grid points")
     if arr.shape[1] != len(_COLUMNS):

@@ -403,15 +403,10 @@ class TestTheory:
         th = read_curve(out / "f_theory_gamma_0.csv")
         assert np.array_equal(f.values, th.values)
 
-    def test_kernels_reuse_reproduces_simulate_theory(self, tmp_path, monkeypatch):
+    def test_kernels_reuse_reproduces_simulate_theory(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         sim_out = tmp_path / "sim"
         main(["simulate", "--config", str(cfg), "--out", str(sim_out)])
-
-        def no_loadtxt(*args, **kwargs):
-            raise AssertionError("a written curve file must take the exact reader, not np.loadtxt")
-
-        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
         th_out = tmp_path / "th"
         rc = main(
             ["theory", "--config", str(cfg), "--out", str(th_out),
@@ -426,6 +421,19 @@ class TestTheory:
             assert a == b, name
         manifest = json.loads((th_out / "manifest.json").read_text())
         assert manifest["kernel_source"] == str(sim_out)
+
+    def test_lf_kernel_files_give_the_same_bytes(self, tmp_path):
+        # np.savetxt writes '\n' line endings; the reader takes either
+        rc, crlf_out = run_theory_on_ones(tmp_path, 0.05)
+        assert rc == EXIT_OK
+        kdir = tmp_path / "k"
+        for name in ("f_lambda", "f_bar"):
+            path = kdir / f"{name}.csv"
+            path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+        lf_out = tmp_path / "lf"
+        cfg = tmp_path / "c.json"
+        assert main(["theory", "--config", str(cfg), "--out", str(lf_out), "--kernels", str(kdir)]) == EXIT_OK
+        assert read_payloads(lf_out) == read_payloads(crlf_out)
 
     def test_missing_kernel_directory(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
@@ -451,19 +459,30 @@ class TestTheory:
         err = capsys.readouterr().err
         assert "n_steps = 80" in err and "n_steps = 40" in err
 
-    @pytest.mark.parametrize("damage", ["truncated", "not-an-object", "scalar-columns", "nested-columns"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "not-an-object", "scalar-columns", "nested-columns", "string-entries", "bool-entries",
+         "unknown-key", "huge-int"],
+    )
     def test_malformed_json_kernel_is_config_error(self, tmp_path, capsys, damage):
         cfg = write_config(tmp_path / "c.json", n_run=2, n_batch=1)
         kdir = tmp_path / "k"
         assert main(["simulate", "--config", str(cfg), "--out", str(kdir), "--format", "json"]) == EXIT_OK
         path = kdir / "f_lambda.json"
         text = path.read_text()
+        payload = json.loads(text)
         columns = ("t", "re_f", "im_f", "re_err", "im_err")
         damaged = {
             "truncated": text[: len(text) // 2],
             "not-an-object": "[" + text + "]",
             "scalar-columns": json.dumps({key: i for i, key in enumerate(columns)}),
             "nested-columns": json.dumps({key: [[0, 1], [2, 3]] for key in columns}),
+            # numpy would read each of these three as a valid curve
+            "string-entries": json.dumps({**payload, "re_f": [str(v) for v in payload["re_f"]]}),
+            "bool-entries": json.dumps({**payload, "re_f": [True] + [False] * (len(payload["re_f"]) - 1)}),
+            "unknown-key": json.dumps({**payload, "comment": "measured"}),
+            # a JSON number, but beyond the float range
+            "huge-int": json.dumps({**payload, "re_f": [10**400] + payload["re_f"][1:]}),
         }
         path.write_text(damaged[damage])
         capsys.readouterr()
@@ -472,7 +491,10 @@ class TestTheory:
              "--format", "json", "--kernels", str(kdir)]
         )
         assert rc == EXIT_CONFIG
-        assert "f_lambda.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "f_lambda.json" in err
+        column = {"string-entries": "'re_f'", "bool-entries": "'re_f'", "unknown-key": "'comment'"}
+        assert column.get(damage, "") in err
 
     @pytest.mark.parametrize("damage", ["nan-value", "f_bar-at-half", "zero-step"])
     def test_bad_kernel_file_is_config_error(self, tmp_path, capsys, damage):
@@ -712,6 +734,17 @@ class TestSummaryLines:
         )
         # a warning about the CPU count may precede the note on a one-CPU machine
         assert captured.err.splitlines()[-1] == "theory: --kernels runs in one process; --threads is ignored"
+
+    def test_theory_from_kernels_notes_ignored_seed(self, tmp_path, capsys):
+        rc, out = run_theory_on_ones(tmp_path, 0.05)
+        assert rc == EXIT_OK
+        plain = read_payloads(out)
+        capsys.readouterr()
+        rc, out = run_theory_on_ones(tmp_path, 0.05, "--seed", "99")
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err.splitlines()[-1] == "theory: --kernels samples nothing; --seed is ignored"
+        # the curves are those of the run without --seed; only the manifest records the seed
+        assert read_payloads(out) == plain
 
     def test_general_and_threads_note(self, tmp_path, capsys):
         cfg, out = write_general_config(tmp_path / "g.json"), tmp_path / "out"

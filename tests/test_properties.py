@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echo_gfa import curveio
 from echo_gfa.cli import ConfigError, read_curve, write_curve
-from echo_gfa.curveio import _read_csv_exact
 from echo_gfa.curves import FidelityCurve, TimeGrid
 from echo_gfa.echo import EchoSetup, fidelity_curve, kernel_curve
 from echo_gfa.rmt import EnsembleConfig, build_realization, sample_gaussian, unfolded_spectrum
@@ -186,22 +184,27 @@ def _bits(a):
         min_size=2, max_size=40,
     ),
     dt=st.floats(1e-300, 1e300),
+    # the writer's \r\n, and the \n that np.savetxt writes
+    newline=st.sampled_from([b"\r\n", b"\n"]),
 )
 @settings(max_examples=200, deadline=None)
-def test_csv_reader_is_exact(rows, dt, tmp_path_factory):
+def test_csv_reader_is_exact(rows, dt, newline, tmp_path_factory):
     re, im, err = (np.array(col) for col in zip(*rows))
     values = re.astype(complex)
     values.imag = im
     curve = FidelityCurve(TimeGrid(dt=dt, n_steps=len(rows) - 1), values, stderr_re=err)
     path = tmp_path_factory.mktemp("csv") / "c.csv"
     write_curve(path, curve, "csv")
-    table = _read_csv_exact(path)  # None would mean the np.loadtxt path
-    expected = np.column_stack([curve.times, re, im, err, np.zeros_like(err)])
-    assert table is not None
-    assert np.array_equal(_bits(table), _bits(expected))
+    path.write_bytes(path.read_bytes().replace(b"\r\n", newline))
     back = read_curve(path)
+    assert np.array_equal(_bits(back.times), _bits(curve.times))
     assert np.array_equal(_bits(back.values.real), _bits(re))
     assert np.array_equal(_bits(back.values.imag), _bits(im))
+    if np.any(err):
+        assert np.array_equal(_bits(back.stderr_re), _bits(err))
+    else:  # all-zero errors read back as None
+        assert back.stderr_re is None
+    assert back.stderr_im is None
 
 
 def _canonical(x: Fraction, shift: int = 0) -> str:
@@ -219,11 +222,18 @@ def _canonical(x: Fraction, shift: int = 0) -> str:
 
 
 def _read_numbers(path, strings):
-    """_read_csv_exact on one CSV file holding strings, five to a row."""
-    fields = list(strings) + ["0.0000000000000000e+00"] * (-len(strings) % 5)
-    lines = [",".join(fields[i : i + 5]) for i in range(0, len(fields), 5)]
+    """read_curve on one CSV file holding strings as re_f and im_f, two to a row.
+
+    A string that overflows makes read_curve raise ConfigError.
+    """
+    zero = "0.0000000000000000e+00"
+    # an even count, and at least the two rows of the shortest grid
+    fields = list(strings) + [zero] * max(4 - len(strings), len(strings) % 2)
+    pairs = zip(fields[::2], fields[1::2])
+    lines = [f"{float(i):.16e},{re},{im},{zero},{zero}" for i, (re, im) in enumerate(pairs)]
     path.write_bytes(("t,re_f,im_f,re_err,im_err\r\n" + "".join(s + "\r\n" for s in lines)).encode())
-    return _read_csv_exact(path).ravel()[: len(strings)]
+    values = read_curve(path).values
+    return np.column_stack([values.real, values.imag]).ravel()[: len(strings)]
 
 
 @pytest.mark.parametrize(
@@ -239,7 +249,11 @@ def _read_numbers(path, strings):
 )
 def test_csv_reader_hard_strings_match_float(text, tmp_path):
     for s in (text, "-" + text):
-        assert _bits(_read_numbers(tmp_path / "c.csv", [s])) == _bits(float(s))
+        if np.isinf(float(s)):
+            with pytest.raises(ConfigError, match="curve values must be finite"):
+                _read_numbers(tmp_path / "c.csv", [s])
+        else:
+            assert _bits(_read_numbers(tmp_path / "c.csv", [s])) == _bits(float(s))
 
 
 # the decimal nearest the midpoint of x and the next double up, and its neighbours
@@ -259,21 +273,6 @@ def test_csv_reader_near_ties_match_float(text, tmp_path_factory):
     assert np.array_equal(_bits(got), _bits([float(text), -float(text)]))
 
 
-def test_csv_reader_hands_ties_to_float(tmp_path, monkeypatch):
-    # the double-double sum lands on these ties exactly, so it would round them to
-    # even as well; the reader still must not rely on that
-    ties = ["9.0071992547409930e+15", "9.0071992547409950e+15", "1.8014398509481986e+16"]
-    handed = []
-
-    def spy(text):
-        handed.append(text)
-        return float(text)
-
-    monkeypatch.setattr(curveio, "float", spy, raising=False)
-    _read_numbers(tmp_path / "c.csv", ties + ["1.0000000000000000e+00", "3.3333333333333331e-01"])
-    assert handed == [t.encode() for t in ties]
-
-
 GOOD_CSV = (
     b"t,re_f,im_f,re_err,im_err\r\n"
     b"0.0000000000000000e+00,1.0000000000000000e+00,-2.5000000000000000e-01,"
@@ -283,12 +282,28 @@ GOOD_CSV = (
 )
 
 
+def _float_columns(data: bytes):
+    """re_f, im_f and im_err as float() reads them from the rows of CSV curve bytes; None if no curve.
+
+    Blank lines are skipped; a field float() rejects, a row without five
+    fields, fewer than two rows or a value that is not finite is no curve.
+    """
+    try:
+        table = np.array([[float(f) for f in line.split(b",")] for line in data.splitlines()[1:] if line])
+    except ValueError:  # a field, or rows of different lengths
+        return None
+    if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] != 5 or not np.all(np.isfinite(table)):
+        return None
+    return [_bits(table[:, j]).tolist() for j in (1, 2, 4)]
+
+
 @pytest.mark.parametrize(
-    "exact, damage",
+    "writer_form, damage",
     [
+        # the writer's own form: the values of GOOD_CSV
         (True, lambda b: b),
         (True, lambda b: b.replace(b"\r\n", b"\n")),
-        # not the writer's form: read by np.loadtxt, to the same values
+        # other forms, read to the values float() reads
         (False, lambda b: b.replace(b"e+00,1.0", b"E+00,1.0")),
         (False, lambda b: b.replace(b"3.3333333333333331e-01", b"3.333333333333333e-01")),
         (False, lambda b: b.replace(b",9.0", b", 9.0")),
@@ -296,7 +311,7 @@ GOOD_CSV = (
         (False, lambda b: b[:-2]),
         (False, lambda b: b.replace(b"\r\n", b"\n", 1)),
         (False, lambda b: b + b"\r\n"),
-        # malformed: the same ConfigError as np.loadtxt's path
+        # malformed: a ConfigError
         (False, lambda b: b.replace(b",9.0071992547409930e+15", b",x")),
         (False, lambda b: b.replace(b",9.0071992547409930e+15", b"")),
         (False, lambda b: b.replace(b",9.0071992547409930e+15", b",nan")),
@@ -304,18 +319,16 @@ GOOD_CSV = (
         (True, lambda b: b.replace(b"5.0000000000000000e-01,", b"7.0000000000000000e-01,")),
     ],
 )
-def test_csv_reader_agrees_with_loadtxt(exact, damage, tmp_path, monkeypatch):
+def test_csv_reader_agrees_with_loadtxt(writer_form, damage, tmp_path):
+    data = damage(GOOD_CSV)
     path = tmp_path / "c.csv"
-    path.write_bytes(damage(GOOD_CSV))
-    assert (_read_csv_exact(path) is not None) == exact
-
-    def outcome():
-        try:
-            curve = read_curve(path)
-        except ConfigError as exc:
-            return str(exc)
-        return [_bits(a).tolist() for a in (curve.values.real, curve.values.imag, curve.stderr_im)]
-
-    got = outcome()
-    monkeypatch.setattr(curveio, "_read_csv_exact", lambda path: None)
-    assert got == outcome()
+    path.write_bytes(data)
+    expected = _float_columns(data)
+    if writer_form:
+        assert expected == _float_columns(GOOD_CSV)
+    if expected is None:
+        with pytest.raises(ConfigError, match="c.csv"):
+            read_curve(path)
+    else:
+        curve = read_curve(path)
+        assert [_bits(a).tolist() for a in (curve.values.real, curve.values.imag, curve.stderr_im)] == expected
