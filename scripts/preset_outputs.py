@@ -9,7 +9,9 @@ Then runs ``general`` (dim 8, GOE, 2 coupling draws, 100 steps) with a delta
 and with an exponential bath kernel, in CSV and in JSON, so the comparison
 also covers ``f_general``'s error columns, and once more (CSV) at dim 16 with
 the exponential kernel and 400 steps, whose 256 x 256 step matrix is large
-enough for OpenBLAS to run its threads.  Last, it runs ``theory --kernels``
+enough for OpenBLAS to run its threads, and once (CSV) at dim 40 with 2 draws
+and 50 steps, above the crossover where ``superoperator`` propagates without
+the step matrix.  Last, it runs ``theory --kernels``
 (CSV) on closed-form curves f_lambda = exp(-0.03 t) cos(t) and
 fbar = exp(-0.05 t) cos(1.3 t) with 5001 points.  The presets' 601 points
 stay on the direct Volterra path; these reach the divide-and-conquer path,
@@ -46,6 +48,8 @@ KERNELS = {
     "exponential": {"kind": "exponential", "tau_c": 0.5, "c0": 1.0},
 }
 GENERAL_DIM16 = {**GENERAL, "dim": 16, "grid": {"dt": 0.05, "n_steps": 400}, "kernel": KERNELS["exponential"]}
+# on the matrix-free route of the superoperator method
+GENERAL_DIM40 = {**GENERAL, "dim": 40, "grid": {"dt": 0.05, "n_steps": 50}, "kernel": KERNELS["exponential"]}
 # above the 2^11-point threshold of the divide-and-conquer Volterra solver
 LONG_GRID = TimeGrid(dt=0.01, n_steps=5000)
 LONG_THEORY = {
@@ -83,6 +87,7 @@ if __name__ == "__main__":
             )
     general = [(f"general-{name}", {**GENERAL, "kernel": kernel}, ("csv", "json")) for name, kernel in KERNELS.items()]
     general.append(("general-exponential-dim16", GENERAL_DIM16, ("csv",)))
+    general.append(("general-exponential-dim40", GENERAL_DIM40, ("csv",)))
     for name, data, formats in general:
         config = Path("configs") / f"{name}.json"
         config.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

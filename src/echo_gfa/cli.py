@@ -228,7 +228,9 @@ def _parse(args, kind: str | None = None):
             "(a general config has 'coupling_strength'/'kernel' keys)"
         )
     parse = parse_general_config if found == "general" else parse_ensemble_config
-    return (found, *parse(data, base, args.seed))
+    # theory --kernels samples nothing, so a --seed is no part of its config
+    seed = None if getattr(args, "kernels", None) is not None else args.seed
+    return (found, *parse(data, base, seed))
 
 
 def _alpha_map(config: ExperimentConfig) -> dict:

@@ -223,14 +223,16 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 def _pin_numpy_blas() -> None:
     """Run numpy's bundled OpenBLAS on one thread, unless a thread variable is set.
 
-    Every numpy BLAS call here is small (eigh at dim <= 64, phase-table GEMMs,
-    Volterra products), and OpenBLAS's second thread only spin-waits on them.
+    Every numpy BLAS call here is small (eigh, phase-table GEMMs, Volterra
+    products, the d x d products of the matrix-free master-equation route),
+    and OpenBLAS's second thread only spin-waits on them.
     The CLI calls this at import, and each pool worker calls it in its
     initializer, so a worker runs one thread whatever the start method: a
     forkserver or spawn worker imports this module, not the CLI.  scipy, and
     with it scipy's own OpenBLAS, is loaded only once ``general`` propagates a
-    dense step; that library keeps its pool for zgemm and zgemv on the
-    d^2 x d^2 step matrix.
+    dense step, below ``master._MATRIX_FREE_DIM``; that library keeps its pool
+    for zgemm and zgemv on the d^2 x d^2 step matrix, where the second thread
+    helps (400 zgemv steps at dim 16: 5.1-6.5 ms on two threads, 7.5-7.6 ms on one).
     """
     if any(var in os.environ for var in BLAS_THREAD_VARS):
         return
@@ -241,6 +243,22 @@ def _pin_numpy_blas() -> None:
         return  # not numpy's scipy-openblas wheel: leave BLAS as it is
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     set_threads(1)
+
+
+def _release_free_heap() -> None:
+    """Hand the C heap's free pages back to the operating system (glibc's malloc_trim).
+
+    Once glibc has unmapped one large array, it serves later ones of that size
+    from its heap and keeps their pages after they are freed.  So the step
+    matrices of ``general``'s draws would stay resident under the curve
+    writing that follows.  Where there is no glibc this does nothing.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
 
 
 def _init_worker(errstate: dict) -> None:
@@ -306,7 +324,8 @@ def run_general(config: GeneralConfig) -> tuple[FidelityCurve, FidelityCurve, fl
     Returns (f_general, reference, rate): the mean trace curve over the
     draws with batch-statistics error bars, the trace curve of the reduced
     master equation at ``rate = strength**2 * dim * c0`` (the exact
-    reduction rate for a delta kernel), and that rate.
+    reduction rate for a delta kernel), and that rate.  Each propagation
+    keeps only its trace, so memory does not grow with the grid.
     """
     dim, beta, grid = config.dim, config.beta, config.grid
     env = build_realization(EnsembleConfig(dim, beta, config.master_seed))
@@ -320,9 +339,10 @@ def run_general(config: GeneralConfig) -> tuple[FidelityCurve, FidelityCurve, fl
         if coupling is None:
             coupling = sample_gaussian(dim, beta, stream(EnsembleConfig(dim, beta, config.master_seed, draw), "coupling"))
         gen = general_generator(h_lam, h_zero, coupling, config.kernel, config.strength)
-        traces[draw] = trace_curve(propagate(gen, rho0, grid, method=config.method)).values
+        traces[draw] = propagate(gen, rho0, grid, method=config.method, keep_states=False).traces
     f_general = FidelityCurve(grid, *batch_statistics(traces))
 
     rate = config.strength ** 2 * dim * config.kernel.c0
-    reference = trace_curve(propagate(rmt_generator(h_lam, h_zero, rate), rho0, grid, method=config.method))
-    return f_general, reference, rate
+    reference = propagate(rmt_generator(h_lam, h_zero, rate), rho0, grid, method=config.method, keep_states=False)
+    _release_free_heap()
+    return f_general, trace_curve(reference), rate

@@ -36,8 +36,14 @@ from .curves import FidelityCurve, TimeGrid, check_number
 from .echo import Spectral, check_hermitian, check_initial_state
 
 PROPAGATION_METHODS = ("superoperator", "stepper")
-# largest dim for which the dense superoperator route is allowed
-_MAX_SUPEROP_DIM = 64
+# the superoperator method's first dim on the matrix-free route; below it, the
+# d^2 x d^2 step matrix is faster (240 steps, one BLAS thread, Born-Markov: dim 20
+# took 53 ms dense against 127 ms matrix-free, dim 24 176 ms against 157 ms)
+_MATRIX_FREE_DIM = 24
+# the most working memory the superoperator method may need, in bytes
+_MAX_WORKING_BYTES = 2**31
+# bytes of states a propagation that keeps only traces holds between two trace sums
+_TRACE_BLOCK_BYTES = 2**16
 
 
 class PropagationError(RuntimeError):
@@ -55,13 +61,29 @@ class QuasiDensity:
         return cls(np.eye(dim, dtype=complex) / dim)
 
 
+def _working_bytes(dim: int) -> int:
+    """Memory the superoperator method needs at this dim, besides any states it keeps.
+
+    Below ``_MATRIX_FREE_DIM`` that is the step matrix's five d^2 x d^2
+    slots; from there on, about sixteen d x d matrices: the folded
+    generator, the state, its Taylor term and sum, and their products.
+    """
+    n = dim * dim
+    return 16 * (5 * n * n if dim < _MATRIX_FREE_DIM else 16 * n)
+
+
 def check_method(method: str, dim: int) -> None:
-    """Raise unless :func:`propagate` can run ``method`` at this dim."""
+    """Raise unless :func:`propagate` can run ``method`` at this dim.
+
+    The stepper takes any dim; the superoperator method takes a dim whose
+    :func:`_working_bytes` stay within ``_MAX_WORKING_BYTES``.
+    """
     if method not in PROPAGATION_METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {PROPAGATION_METHODS}")
-    if method == "superoperator" and dim > _MAX_SUPEROP_DIM:
+    if method == "superoperator" and _working_bytes(dim) > _MAX_WORKING_BYTES:
         raise ValueError(
-            f"superoperator method is limited to dim <= {_MAX_SUPEROP_DIM} (got {dim}); use stepper"
+            f"superoperator method at dim {dim} needs {_working_bytes(dim) / 2**20:.0f} MiB, "
+            f"over its {_MAX_WORKING_BYTES / 2**20:.0f} MiB bound; use stepper"
         )
 
 
@@ -158,17 +180,22 @@ class EchoGenerator:
         """The right-hand side at one (d, d) state or a stack (..., d, d) of them."""
         return -1j * (self.h_lambda @ rho - rho @ self.h_zero) + self.dissipator(rho)
 
-    def superoperator(self) -> np.ndarray:
+    def superoperator(self, out: np.ndarray | None = None) -> np.ndarray:
         """Dense matrix L with L vec(rho) = vec(apply(rho)), row-major vec.
 
         A term A rho B is (A kron B^T) vec(rho): it adds A[a, i] B[j, b] to
         l[a, b, i, j] = L[a d + b, i d + j].  The Hamiltonian pair and ``terms``
-        are read as :meth:`apply` reads them, each in one vectorised update of
+        are read as :meth:`apply` reads them, each in vectorised updates of
         that view: a left-only term fills its diagonal j = b, a right-only term
-        its diagonal i = a, and a product term is one d^4 outer product.
+        its diagonal i = a, and a product term one row block l[a] at a time,
+        a d^3 outer product each.  L is written into ``out`` (a C-ordered
+        d^2 x d^2 complex array) when it is given.
         """
         d = self.dim
-        l = np.zeros((d, d, d, d), dtype=complex)
+        if out is None:
+            out = np.empty((d * d, d * d), dtype=complex)
+        out[...] = 0.0
+        l = out.reshape(d, d, d, d)
         terms = ((-1j * self.h_lambda, None), (None, 1j * self.h_zero)) + self.terms
         for left, right in terms:
             if right is None:
@@ -176,14 +203,16 @@ class EchoGenerator:
             elif left is None:
                 np.einsum("abaj->abj", l)[...] += right.T
             else:
-                l += left[:, None, :, None] * right.T[:, None, :]
+                right_t = right.T[:, None, :]
+                for a in range(d):
+                    l[a] += left[a, None, :, None] * right_t
         if self.rate:
             # -rate (1 - vec(1) vec(1)^T / d): rho sits at (i, j) = (a, b) and tr[rho] 1 at
             # a = b, i = j; where both meet, one product -rate (1 - 1/d) keeps L's rounding
             mixed = np.eye(d) / d
             np.einsum("abab->ab", l)[...] -= self.rate * (1.0 - mixed)
             np.einsum("aaii->ai", l)[...] += self.rate * (1.0 / d - mixed)
-        return l.reshape(d * d, d * d)
+        return out
 
 
 def rmt_generator(h_lambda: np.ndarray, h_zero: np.ndarray, rate: float) -> EchoGenerator:
@@ -222,10 +251,11 @@ def _check_hamiltonians(h_lambda: np.ndarray, h_zero: np.ndarray):
 
 @dataclass(eq=False)
 class Trajectory:
-    """Quasi-density matrices on a grid: states[i] is X(t_i)."""
+    """A propagation on a grid: traces[i] is tr[X(t_i)], and states[i] is X(t_i) when kept."""
 
     grid: TimeGrid
-    states: np.ndarray
+    traces: np.ndarray
+    states: np.ndarray | None = None
 
 
 # Bader, Blanes & Casas, "Computing the matrix exponential with an optimized Taylor
@@ -248,15 +278,16 @@ _COMBINE_BLOCK = 8192
 
 
 def _step_matrix(l: np.ndarray, dt: float) -> np.ndarray:
-    """exp(L dt) by scaling and squaring the degree-18 Taylor polynomial, with no linear solve.
+    """exp(L dt), written over ``l``, by scaling and squaring the degree-18 Taylor polynomial.
 
     A = L dt / 2^s with s the least power that brings ||A||_1 under _THETA_18,
-    so the scaling is exact.  Every product is scipy's zgemm written in place
-    into one preallocated (5, n, n) buffer: A, A^2, A^3 and A^6 fill slots
-    0-3, the five B_i overwrite slots 0-4, then A_9 = B_0 B_4 + B_3 and
-    T = B_1 + (B_2 + A_9) A_9, which is squared s times.  The result is a view
-    of that buffer.  A diagonal L returns the vector exp(diag(L) dt) instead,
-    not an n x n matrix: its exponential is elementwise and exact.
+    so the scaling is exact.  Every product is scipy's zgemm written in place:
+    A, A^2, A^3 and A^6 fill a (4, n, n) buffer, the five B_i overwrite its
+    four slots and ``l``, then A_9 = B_0 B_4 + B_3 and T = B_1 + (B_2 + A_9) A_9,
+    which is squared s times.  Whichever of B_0 and B_1 the last product
+    writes is the one kept in ``l``, so T ends there and the buffer is freed
+    on return.  A diagonal L returns the vector exp(diag(L) dt) instead and
+    leaves ``l`` as it is: its exponential is elementwise and exact.
     """
     diagonal = np.diagonal(l)
     if np.count_nonzero(l) == np.count_nonzero(diagonal):
@@ -268,7 +299,7 @@ def _step_matrix(l: np.ndarray, dt: float) -> np.ndarray:
         raise PropagationError(f"generator norm ||L dt||_1 = {norm} is not finite")
     s = math.ceil(math.log2(norm / _THETA_18)) if norm > _THETA_18 else 0
 
-    buf = np.empty((5, *l.shape), dtype=complex)
+    buf = np.empty((4, *l.shape), dtype=complex)
 
     def product(out, a, b, add=False):
         # out = a b (+ out): the transposed views are F-ordered, as zgemm wants them;
@@ -278,23 +309,30 @@ def _step_matrix(l: np.ndarray, dt: float) -> np.ndarray:
             raise RuntimeError("zgemm did not write its output buffer in place")
 
     np.multiply(l, dt * 2.0**-s, out=buf[0])
-    a, a2, a3, a6 = buf[:4]
+    a, a2, a3, a6 = buf
     product(a2, a, a)
     product(a3, a2, a)
     product(a6, a3, a3)
+    # T is B_1 after an even number of squarings and B_0 after an odd one
+    kept = 1 - s % 2
+    slots = list(buf)
+    slots.insert(kept, l)
     # B_i = sum_j c_ij [A, A^2, A^3, A^6]_j, column block by column block over
-    # the stack seen as reals, so each block is read before B overwrites it
-    reals = buf.reshape(5, -1).view(np.float64)
+    # the buffer seen as reals, so each block is read before B overwrites it
+    reals = buf.reshape(4, -1).view(np.float64)
+    kept_reals = l.reshape(-1).view(np.float64)
+    rest = [i for i in range(5) if i != kept]
     block = np.empty((5, _COMBINE_BLOCK))
     for start in range(0, reals.shape[1], _COMBINE_BLOCK):
         cols = reals[:, start:start + _COMBINE_BLOCK]
         out = block[:, :cols.shape[1]]
-        np.matmul(_TAYLOR_18[:, 1:], cols[:4], out=out)
-        cols[...] = out
-    for b, c0 in zip(buf, _TAYLOR_18[:, 0]):
+        np.matmul(_TAYLOR_18[:, 1:], cols, out=out)
+        cols[...] = out[rest]
+        kept_reals[start:start + _COMBINE_BLOCK] = out[kept]
+    for b, c0 in zip(slots, _TAYLOR_18[:, 0]):
         if c0:
             np.einsum("ii->i", b)[...] += c0
-    b0, b1, b2, b3, b4 = buf
+    b0, b1, b2, b3, b4 = slots
     product(b3, b0, b4, add=True)  # A_9
     b2 += b3
     product(b1, b2, b3, add=True)  # T
@@ -305,30 +343,138 @@ def _step_matrix(l: np.ndarray, dt: float) -> np.ndarray:
     return t
 
 
-def _propagate_superoperator(gen: EchoGenerator, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """States vec(X(t_k)) = exp(L dt)^k vec(X(0)) on the uniform grid, as (len(grid), d, d).
+def _dense_states(gen: EchoGenerator, x: np.ndarray, grid: TimeGrid):
+    """vec(X(t_k)) = exp(L dt)^k vec(X(0)) for k >= 1, one state at a time.
 
     One step from :func:`_step_matrix` serves every point.  A diagonal
     generator's step is a vector, applied elementwise; a dense step is a
     matrix-vector product on the BLAS whose zgemm built it.
     """
     step = _step_matrix(gen.superoperator(), grid.dt)
-    d = gen.dim
-    states = np.empty((len(grid), d * d), dtype=complex)
-    states[0] = rho0.reshape(-1)
+    x = x.reshape(-1)
     if step.ndim == 1:
-        for k in range(1, len(grid)):
-            np.multiply(step, states[k - 1], out=states[k])
-        return states.reshape(len(grid), d, d)
+        for _ in range(1, len(grid)):
+            x = step * x
+            yield x
+        return
     # only a dense step needs scipy.linalg, whose import alone takes about 0.35 s
     from scipy.linalg.blas import zgemv
 
     # step.T is an F-contiguous view, so trans=1 applies step itself without a copy
     step_t = step.T
-    for k in range(1, len(grid)):
+    for _ in range(1, len(grid)):
         # scipy's zgemv, not np.matmul: the CLI runs numpy's OpenBLAS on one thread, scipy's keeps its pool
-        states[k] = zgemv(1.0, step_t, states[k - 1], trans=1)
-    return states.reshape(len(grid), d, d)
+        x = zgemv(1.0, step_t, x, trans=1)
+        yield x
+
+
+# Al-Mohy & Higham, "Computing the action of the matrix exponential", SIAM J. Sci.
+# Comput. 33, 488 (2011), table 3.1: the degree-m Taylor series of exp(A) b has
+# backward error below the unit roundoff 2^-53 while ||A|| <= theta_m.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3, 7: 2.38e-2,
+    8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1,
+    15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82,
+    23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7,
+    40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+
+
+def _action(gen: EchoGenerator):
+    """(apply, bound): x -> L x on a (..., d, d) stack, and a bound on ||L||_1.
+
+    The left-only terms, -i H_lam and -rate fold into one left factor K_L, the
+    right-only terms and i H_0 into K_R, so L x = K_L x + x K_R + sum A x B
+    + (rate / d) tr[x] 1.  A term A x B is A kron B^T on row-major vec(x),
+    whose 1-norm is ||A||_1 ||B||_inf; the trace reinjection's is rate.
+    """
+    d = gen.dim
+    left = -1j * gen.h_lambda - gen.rate * np.eye(d)
+    right = 1j * gen.h_zero
+    products = []
+    for a, b in gen.terms:
+        if b is None:
+            left = left + a
+        elif a is None:
+            right = right + b
+        else:
+            products.append((a, b))
+    reinjection = gen.rate / d
+
+    def apply(x):
+        out = left @ x
+        out += x @ right
+        for a, b in products:
+            out += a @ x @ b
+        if reinjection:
+            np.einsum("...ii->...i", out)[...] += reinjection * np.einsum("...ii->...", x)[..., None]
+        return out
+
+    def one(m):
+        return float(np.abs(m).sum(axis=-2).max())
+
+    def inf(m):
+        return float(np.abs(m).sum(axis=-1).max())
+
+    return apply, one(left) + inf(right) + sum(one(a) * inf(b) for a, b in products) + gen.rate
+
+
+def _taylor_degree(norm: float) -> tuple[int, int]:
+    """(m, s): s substeps of degree m, the fewest products m s with norm / s <= theta_m."""
+    if not np.isfinite(norm):
+        raise PropagationError(f"generator norm bound ||L dt||_1 = {norm} is not finite")
+    choices = ((m, max(1, math.ceil(norm / theta))) for m, theta in _THETA.items())
+    return min(choices, key=lambda ms: ms[0] * ms[1])
+
+
+def _max_entry(x: np.ndarray) -> np.ndarray:
+    """Largest |Re| or |Im| of each d x d matrix in a C-ordered (..., d, d) stack."""
+    return np.abs(x.view(np.float64)).max(axis=(-2, -1))
+
+
+def _taylor_action(apply, x: np.ndarray, h: float, m: int, s: int) -> np.ndarray:
+    """exp(L s h) x for a C-ordered (..., d, d) stack x, L x given by ``apply``.
+
+    s substeps of the degree-m Taylor series of exp(L h), each summed until
+    Al-Mohy & Higham's test (algorithm 3.2 of the paper above) holds for that
+    state: the last two terms, in the largest-entry norm, are within the unit
+    roundoff of the sum.  A state's sum stops at its own term count, so a stack
+    gives each state the bits it gets alone.
+    """
+    for _ in range(s):
+        total = x.copy()
+        c1 = _max_entry(x)
+        live = np.ones(c1.shape, dtype=bool)
+        for j in range(1, m + 1):
+            x = apply(x)
+            x *= h / j
+            c2 = _max_entry(x)
+            np.add(total, x, out=total, where=live[..., None, None])
+            live &= c1 + c2 > 2.0**-53 * _max_entry(total)
+            if not live.any():
+                break
+            c1 = c2
+        x = total
+    return x
+
+
+def _matrix_free_states(gen: EchoGenerator, x: np.ndarray, grid: TimeGrid):
+    """X(t_k) for k >= 1 by the truncated-Taylor action on d x d states, one grid step at a time."""
+    apply, bound = _action(gen)
+    m, s = _taylor_degree(bound * grid.dt)
+    x = np.ascontiguousarray(x)
+    for _ in range(1, len(grid)):
+        x = _taylor_action(apply, x, grid.dt / s, m, s)
+        yield x
+
+
+def _superoperator_states(gen: EchoGenerator, x: np.ndarray, grid: TimeGrid):
+    """X(t_k) for every grid point, as d x d matrices, by the route for the generator's dim."""
+    d = gen.dim
+    yield x
+    steps = _dense_states if d < _MATRIX_FREE_DIM else _matrix_free_states
+    for state in steps(gen, x, grid):
+        yield state.reshape(d, d)
 
 
 def _propagate_stepper(
@@ -367,17 +513,25 @@ def propagate(
     method: str = "superoperator",
     rtol: float = 1e-9,
     atol: float = 1e-12,
+    keep_states: bool = True,
 ) -> Trajectory:
     """Integrate the master equation from a density matrix over a grid.
 
-    ``superoperator`` builds one step matrix exp(L dt) from the dense
-    generator L (dims up to 64) and applies it once per grid
+    ``superoperator`` propagates exactly, to unit roundoff, by one of two
+    routes chosen by dim.  Below ``_MATRIX_FREE_DIM`` it builds one step
+    matrix exp(L dt) from the dense generator L and applies it once per grid
     step; it needs no eigenbasis, so defective generators are handled too.
-    The step matrix is the degree-18 Taylor polynomial, exact to unit
-    roundoff, evaluated in five matrix products with scaling and squaring
-    (Bader, Blanes & Casas, Mathematics 7, 1174, 2019), so it needs no
-    linear solve.
+    The step matrix is the degree-18 Taylor polynomial evaluated in five
+    matrix products with scaling and squaring (Bader, Blanes & Casas,
+    Mathematics 7, 1174, 2019), so it needs no linear solve.  From that dim
+    on it never forms L: each grid step is the truncated-Taylor action of
+    Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488, 2011) on the d x d state,
+    d x d products only, with substeps from a bound on ||L dt||_1.
     ``stepper`` is adaptive RK45.
+
+    The trajectory always holds the trace at every grid point.  With
+    ``keep_states=False`` the superoperator method holds one state at a time
+    and the trajectory has no states.
     """
     check_method(method, generator.dim)
     matrix = np.asarray(getattr(rho0, "matrix", rho0), dtype=complex)
@@ -387,13 +541,23 @@ def propagate(
         )
     check_initial_state(matrix)
 
-    if method == "superoperator":
-        states = _propagate_superoperator(generator, matrix, grid)
-    else:
+    if method == "stepper":
         states = _propagate_stepper(generator, matrix, grid, rtol, atol)
-    return Trajectory(grid=grid, states=states)
+        return Trajectory(grid, np.einsum("tii->t", states), states)
+    # states go to the whole trajectory, or in turn to the rows of a small block;
+    # each full block, and the last, gives its traces at once
+    d, n = generator.dim, len(grid)
+    rows = n if keep_states else max(1, min(n, _TRACE_BLOCK_BYTES // (16 * d * d)))
+    held = np.empty((rows, d, d), dtype=complex)
+    traces = np.empty(n, dtype=complex)
+    for k, state in enumerate(_superoperator_states(generator, matrix, grid)):
+        row = k % rows
+        held[row] = state
+        if row == rows - 1 or k == n - 1:
+            traces[k - row:k + 1] = np.einsum("tii->t", held[:row + 1])
+    return Trajectory(grid, traces, held if keep_states else None)
 
 
 def trace_curve(trajectory: Trajectory) -> FidelityCurve:
     """Fidelity amplitude tr[X(t)] along a trajectory."""
-    return FidelityCurve(trajectory.grid, np.einsum("tii->t", trajectory.states))
+    return FidelityCurve(trajectory.grid, trajectory.traces)

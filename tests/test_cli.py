@@ -738,13 +738,13 @@ class TestSummaryLines:
     def test_theory_from_kernels_notes_ignored_seed(self, tmp_path, capsys):
         rc, out = run_theory_on_ones(tmp_path, 0.05)
         assert rc == EXIT_OK
-        plain = read_payloads(out)
+        plain = read_payloads(out), (out / "manifest.json").read_bytes()
         capsys.readouterr()
         rc, out = run_theory_on_ones(tmp_path, 0.05, "--seed", "99")
         assert rc == EXIT_OK
         assert capsys.readouterr().err.splitlines()[-1] == "theory: --kernels samples nothing; --seed is ignored"
-        # the curves are those of the run without --seed; only the manifest records the seed
-        assert read_payloads(out) == plain
+        # the seed is no part of the run: curves and manifest (master_seed, config_hash) are byte-identical
+        assert (read_payloads(out), (out / "manifest.json").read_bytes()) == plain
 
     def test_general_and_threads_note(self, tmp_path, capsys):
         cfg, out = write_general_config(tmp_path / "g.json"), tmp_path / "out"

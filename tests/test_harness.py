@@ -3,6 +3,10 @@
 import concurrent.futures
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +26,11 @@ from echo_gfa.harness import (
     run_general,
     theory_pipeline,
 )
-from echo_gfa.master import CorrelationKernel
-from echo_gfa.rmt import EnsembleConfig, build_realization
+from echo_gfa.master import CorrelationKernel, general_generator, propagate, rmt_generator, trace_curve
+from echo_gfa.rmt import EnsembleConfig, build_realization, sample_gaussian, stream
 from echo_gfa.volterra import StepSizeError, solve_many
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def small_config(**kw):
@@ -409,3 +415,47 @@ class TestRunGeneral:
                     assert np.array_equal(got, want)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["reduction_rate"] == rate
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_traces_are_those_of_full_propagations(self, beta):
+        # run_general keeps only traces; they are bit for bit the traces of full
+        # trajectories on the dense route, draw by draw and for the reference
+        config = small_general_config(dim=5, beta=beta, n_draws=3)
+        f_general, reference, rate = run_general(config)
+        env = build_realization(EnsembleConfig(5, beta, config.master_seed))
+        h_zero = np.diag(env.env_levels).astype(complex)
+        h_lam = h_zero + config.lam * env.perturbation
+        rho0 = np.eye(5, dtype=complex) / 5
+        traces = []
+        for draw in range(config.n_draws):
+            v = sample_gaussian(5, beta, stream(EnsembleConfig(5, beta, config.master_seed, draw), "coupling"))
+            gen = general_generator(h_lam, h_zero, v, config.kernel, config.strength)
+            traces.append(trace_curve(propagate(gen, rho0, config.grid)).values)
+        expected = FidelityCurve(config.grid, *batch_statistics(np.array(traces)))
+        assert np.array_equal(f_general.values, expected.values)
+        assert np.array_equal(f_general.stderr_re, expected.stderr_re)
+        expected = trace_curve(propagate(rmt_generator(h_lam, h_zero, rate), rho0, config.grid))
+        assert np.array_equal(reference.values, expected.values)
+
+    def test_matrix_free_run_is_fast_and_small(self):
+        # dim 50, 8 draws: the matrix-free route takes seconds and well under 200 MB more
+        # than the process started with (the dense route would need 500 MB of step matrix)
+        # VmHWM is this process's own peak; ru_maxrss would also count the pytest process it forked from
+        script = (
+            "import time\n"
+            "from echo_gfa.curves import TimeGrid\n"
+            "from echo_gfa.harness import GeneralConfig, run_general\n"
+            "from echo_gfa.master import CorrelationKernel\n"
+            "def kib(key):\n"
+            "    return next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith(key))\n"
+            "start = kib('VmRSS:')\n"
+            "t0 = time.perf_counter()\n"
+            "run_general(GeneralConfig(dim=50, beta=1, master_seed=3, lam=0.1, strength=0.05,\n"
+            "    kernel=CorrelationKernel.exponential(tau_c=0.5), grid=TimeGrid(0.05, 240), n_draws=8))\n"
+            "print(time.perf_counter() - t0, (kib('VmHWM:') - start) / 1024)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        seconds, grown_mb = map(float, out.stdout.split())
+        assert seconds < 30.0
+        assert grown_mb < 200.0

@@ -8,15 +8,25 @@ from echo_gfa.curves import TimeGrid
 from echo_gfa.echo import EchoSetup, Spectral, fidelity_curve, kernel_curve
 from echo_gfa.master import (
     CorrelationKernel,
+    EchoGenerator,
     PropagationError,
     QuasiDensity,
+    check_method,
     gamma_operator,
     general_generator,
     propagate,
     rmt_generator,
     trace_curve,
-    _propagate_superoperator,
+    _MATRIX_FREE_DIM,
+    _MAX_WORKING_BYTES,
+    _action,
+    _dense_states,
+    _matrix_free_states,
     _step_matrix,
+    _superoperator_states,
+    _taylor_action,
+    _taylor_degree,
+    _working_bytes,
 )
 from echo_gfa.rmt import EnsembleConfig, build_realization, sample_gaussian
 from echo_gfa.volterra import VolterraProblem, generalized_fidelity, solve
@@ -345,7 +355,7 @@ class TestPropagate:
         rng = np.random.default_rng(20)
         x0 = random_hermitian(5, rng)
         x0 -= np.trace(x0) / 5 * np.eye(5)
-        states = _propagate_superoperator(gen, x0.astype(complex), grid)
+        states = np.array(list(_superoperator_states(gen, x0.astype(complex), grid)))
         norms = np.linalg.norm(states.reshape(len(grid), -1), axis=1)
         expected = norms[0] * np.exp(-rate * grid.times)
         assert np.max(np.abs(norms - expected)) < 1e-8
@@ -366,7 +376,7 @@ class TestPropagate:
             )
         grid = TimeGrid(dt=0.01, n_steps=5000)
         rho0 = np.eye(dim, dtype=complex) / dim
-        states = _propagate_superoperator(gen, rho0, grid)
+        states = np.array(list(_superoperator_states(gen, rho0, grid)))
         l = gen.superoperator()
         for k in (1, 10, 100, 1000, 5000):
             exact = expm(l * grid.times[k]) @ rho0.reshape(-1)
@@ -390,7 +400,7 @@ class TestPropagate:
         expected[0] = rho0.reshape(-1)
         for k in range(1, len(grid)):
             expected[k] = np.matmul(step, expected[k - 1])
-        states = _propagate_superoperator(gen, rho0, grid).reshape(len(grid), -1)
+        states = np.array(list(_superoperator_states(gen, rho0, grid))).reshape(len(grid), -1)
         assert np.max(np.abs(states - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("dim", [2, 5, 16, 40])
@@ -415,7 +425,7 @@ class TestPropagate:
         step = _step_matrix(l, grid.dt)
         assert np.array_equal(step, np.exp(np.diagonal(l) * grid.dt))
         rho0 = random_density(5, np.random.default_rng(41))
-        states = _propagate_superoperator(gen, rho0, grid).reshape(len(grid), -1)
+        states = np.array(list(_superoperator_states(gen, rho0, grid))).reshape(len(grid), -1)
         expected = rho0.reshape(-1)
         for state in states:
             assert np.array_equal(state, expected)
@@ -428,13 +438,23 @@ class TestPropagate:
             propagate(gen, QuasiDensity.maximally_mixed(2), TimeGrid(10.0, 2))
 
     def test_superoperator_dim_guard(self):
+        # the superoperator method is bounded by the working memory of its route, not by a dim:
+        # the dense route's five d^2 x d^2 slots below the crossover, d x d matrices above it
+        below, above = _MATRIX_FREE_DIM - 1, _MATRIX_FREE_DIM
+        assert _working_bytes(below) == 5 * 16 * below**4
+        assert _working_bytes(above) == 16 * 16 * above**2
+        too_big = next(d for d in range(above, 10**5) if _working_bytes(d) > _MAX_WORKING_BYTES)
+        with pytest.raises(ValueError, match="MiB bound; use stepper"):
+            check_method("superoperator", too_big)
+        check_method("superoperator", too_big - 1)
+        check_method("stepper", too_big)
+        # a dim far above the crossover propagates, as the stepper does
         dim = 70
         gen = rmt_generator(np.zeros((dim, dim)), np.zeros((dim, dim)), rate=0.1)
         rho0 = QuasiDensity.maximally_mixed(dim)
-        with pytest.raises(ValueError, match="stepper"):
-            propagate(gen, rho0, TimeGrid(0.1, 5))
-        # the stepper has no dim limit
-        propagate(gen, rho0, TimeGrid(0.1, 2), method="stepper")
+        a = propagate(gen, rho0, TimeGrid(0.1, 2))
+        b = propagate(gen, rho0, TimeGrid(0.1, 2), method="stepper")
+        assert np.max(np.abs(a.states - b.states)) < 1e-9
 
     def test_rejects_invalid_initial_state(self):
         gen = rmt_generator(np.zeros((3, 3)), np.zeros((3, 3)), rate=0.0)
@@ -454,3 +474,74 @@ class TestPropagate:
         traj = propagate(gen, QuasiDensity.maximally_mixed(5), TimeGrid(0.05, 40))
         vals = trace_curve(traj).values
         assert abs(vals[0] - 1.0) < 1e-12
+
+
+def route_generator(form, dim, beta=1, draw=0):
+    """A generator at the gate scale: unfolded levels, lambda 0.1, a coupling draw."""
+    real = make_realization(dim=dim, beta=beta, seed=43)
+    h0 = np.diag(real.env_levels).astype(complex)
+    h_lam = h0 + 0.1 * real.perturbation
+    if form == "rmt":
+        return rmt_generator(h_lam, h0, rate=0.2)
+    v = sample_gaussian(dim, beta, np.random.default_rng(100 * dim + draw))
+    kernel = CorrelationKernel.delta(1.0) if form == "delta" else CorrelationKernel.exponential(tau_c=0.5)
+    return general_generator(h_lam, h0, v, kernel, strength=0.1)
+
+
+class TestMatrixFree:
+    @pytest.mark.parametrize("dim", [_MATRIX_FREE_DIM - 1, _MATRIX_FREE_DIM])
+    @pytest.mark.parametrize("form", ["rmt", "delta", "exponential"])
+    def test_agrees_with_dense_route(self, form, dim):
+        # one dim on each side of the crossover: both routes give the same states to 1e-12
+        gen = route_generator(form, dim, beta=2)
+        grid = TimeGrid(dt=0.05, n_steps=60)
+        rho0 = random_density(dim, np.random.default_rng(dim))
+        dense = np.array([rho0.reshape(-1), *_dense_states(gen, rho0, grid)]).reshape(len(grid), dim, dim)
+        free = np.array([rho0, *_matrix_free_states(gen, rho0, grid)])
+        assert np.max(np.abs(free - dense)) < 1e-12
+        states = propagate(gen, rho0, grid).states
+        assert np.array_equal(states, free if dim >= _MATRIX_FREE_DIM else dense)
+
+    @pytest.mark.parametrize("form", ["rmt", "exponential"])
+    def test_action_matches_apply(self, form):
+        gen = route_generator(form, 7, beta=2)
+        apply, bound = _action(gen)
+        rho = np.stack([random_density(7, np.random.default_rng(k)) for k in range(3)])
+        assert np.max(np.abs(apply(rho) - gen.apply(rho))) < 1e-12 * np.max(np.abs(gen.apply(rho)))
+        # the bound holds for ||L||_1 itself
+        assert np.abs(gen.superoperator()).sum(axis=0).max() <= bound * (1 + 1e-12)
+
+    def test_stacked_action_equals_per_draw_actions(self):
+        # draws stacked as (n_draws, d, d), with their terms stacked alike, give each
+        # draw the bits of its own action, though their series stop at different terms
+        dim, n_draws = 9, 4
+        gens = [route_generator("exponential", dim, draw=k) for k in range(n_draws)]
+        stacked = EchoGenerator(gens[0].h_lambda, gens[0].h_zero,
+                                tuple((np.stack([g.terms[i][0] for g in gens]) if gens[0].terms[i][0] is not None else None,
+                                       np.stack([g.terms[i][1] for g in gens]) if gens[0].terms[i][1] is not None else None)
+                                      for i in range(len(gens[0].terms))))
+        rho = np.stack([random_density(dim, np.random.default_rng(k)) for k in range(n_draws)])
+        apply, bound = _action(stacked)
+        m, s = _taylor_degree(bound * 0.3)
+        together = _taylor_action(apply, rho, 0.3 / s, m, s)
+        for gen, x, got in zip(gens, rho, together):
+            alone = _taylor_action(_action(gen)[0], np.ascontiguousarray(x), 0.3 / s, m, s)
+            assert np.array_equal(got, alone)
+        # a zero state stops at once and stays zero
+        assert not np.any(_taylor_action(apply, np.zeros_like(rho), 0.3 / s, m, s))
+
+    @pytest.mark.parametrize("norm", [0.0, 1e-9, 0.5, 3.0, 40.0])
+    def test_taylor_degree_is_the_cheapest_admissible(self, norm):
+        from echo_gfa.master import _THETA
+
+        m, s = _taylor_degree(norm)
+        assert norm / s <= _THETA[m]
+        assert all(k * max(1, -(-norm // theta)) >= m * s for k, theta in _THETA.items())
+
+    def test_non_finite_norm_fails_cleanly(self):
+        with pytest.raises(PropagationError, match="not finite"):
+            _taylor_degree(np.inf)
+        dim = _MATRIX_FREE_DIM
+        gen = rmt_generator(np.zeros((dim, dim)), np.zeros((dim, dim)), rate=1e308)
+        with pytest.raises(PropagationError, match="not finite"):
+            propagate(gen, QuasiDensity.maximally_mixed(dim), TimeGrid(10.0, 2))
