@@ -44,6 +44,7 @@ from .harness import (
     ExperimentConfig,
     GeneralConfig,
     _pin_numpy_blas,
+    _release_free_heap,
     difference_curve,
     run_ensemble,
     run_general,
@@ -355,6 +356,8 @@ def cmd_general(args) -> int:
         if threads > 1:
             print("general: coupling draws run serially; --threads is ignored", file=sys.stderr)
         f_general, reference, rate = run_general(config)
+        # the draws' step matrices are freed: give their pages back before the curves are written
+        _release_free_heap()
         summary = f"{config.n_draws} draw(s) (dim={config.dim}, method={config.method})"
         return [("f_general", f_general), ("f_rmt_reference", reference)], {"reduction_rate": rate}, summary
 

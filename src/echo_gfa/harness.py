@@ -251,11 +251,13 @@ def _release_free_heap() -> None:
     Once glibc has unmapped one large array, it serves later ones of that size
     from its heap and keeps their pages after they are freed.  So the step
     matrices of ``general``'s draws would stay resident under the curve
-    writing that follows.  Where there is no glibc this does nothing.
+    writing that follows.  The CLI calls this once ``general`` has propagated;
+    the library leaves the process heap alone.  Where there is no glibc this
+    does nothing.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, AttributeError):
+    except (OSError, AttributeError, TypeError):  # TypeError: Windows' CDLL takes no None
         return
     trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
     trim(0)
@@ -339,10 +341,9 @@ def run_general(config: GeneralConfig) -> tuple[FidelityCurve, FidelityCurve, fl
         if coupling is None:
             coupling = sample_gaussian(dim, beta, stream(EnsembleConfig(dim, beta, config.master_seed, draw), "coupling"))
         gen = general_generator(h_lam, h_zero, coupling, config.kernel, config.strength)
-        traces[draw] = propagate(gen, rho0, grid, method=config.method, keep_states=False).traces
+        traces[draw] = propagate(gen, rho0, grid, method=config.method).traces
     f_general = FidelityCurve(grid, *batch_statistics(traces))
 
     rate = config.strength ** 2 * dim * config.kernel.c0
-    reference = propagate(rmt_generator(h_lam, h_zero, rate), rho0, grid, method=config.method, keep_states=False)
-    _release_free_heap()
+    reference = propagate(rmt_generator(h_lam, h_zero, rate), rho0, grid, method=config.method)
     return f_general, trace_curve(reference), rate

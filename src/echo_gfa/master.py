@@ -36,14 +36,17 @@ from .curves import FidelityCurve, TimeGrid, check_number
 from .echo import Spectral, check_hermitian, check_initial_state
 
 PROPAGATION_METHODS = ("superoperator", "stepper")
-# the superoperator method's first dim on the matrix-free route; below it, the
-# d^2 x d^2 step matrix is faster (240 steps, one BLAS thread, Born-Markov: dim 20
-# took 53 ms dense against 127 ms matrix-free, dim 24 176 ms against 157 ms)
+# the superoperator method's first dim on the matrix-free route.  Where the routes
+# cross grows with the grid: timed as the CLI runs them on two cores (numpy's BLAS
+# on one thread, scipy's zgemm and zgemv on two), Born-Markov crosses near dim 20
+# at 50 steps and near dim 30 at 400, the reduced form near 18 and 26.  Dim 24 is
+# where the matrix-free route first wins in the geometric mean of the time ratios
+# over the 50-400 step grids of the presets and gates (Born-Markov at dim 24:
+# 73-77 ms dense against 30 ms matrix-free at 50 steps, 112-118 ms against 245 ms
+# at 400)
 _MATRIX_FREE_DIM = 24
 # the most working memory the superoperator method may need, in bytes
 _MAX_WORKING_BYTES = 2**31
-# bytes of states a propagation that keeps only traces holds between two trace sums
-_TRACE_BLOCK_BYTES = 2**16
 
 
 class PropagationError(RuntimeError):
@@ -180,7 +183,7 @@ class EchoGenerator:
         """The right-hand side at one (d, d) state or a stack (..., d, d) of them."""
         return -1j * (self.h_lambda @ rho - rho @ self.h_zero) + self.dissipator(rho)
 
-    def superoperator(self, out: np.ndarray | None = None) -> np.ndarray:
+    def superoperator(self) -> np.ndarray:
         """Dense matrix L with L vec(rho) = vec(apply(rho)), row-major vec.
 
         A term A rho B is (A kron B^T) vec(rho): it adds A[a, i] B[j, b] to
@@ -188,14 +191,10 @@ class EchoGenerator:
         are read as :meth:`apply` reads them, each in vectorised updates of
         that view: a left-only term fills its diagonal j = b, a right-only term
         its diagonal i = a, and a product term one row block l[a] at a time,
-        a d^3 outer product each.  L is written into ``out`` (a C-ordered
-        d^2 x d^2 complex array) when it is given.
+        a d^3 outer product each.
         """
         d = self.dim
-        if out is None:
-            out = np.empty((d * d, d * d), dtype=complex)
-        out[...] = 0.0
-        l = out.reshape(d, d, d, d)
+        l = np.zeros((d, d, d, d), dtype=complex)
         terms = ((-1j * self.h_lambda, None), (None, 1j * self.h_zero)) + self.terms
         for left, right in terms:
             if right is None:
@@ -212,7 +211,7 @@ class EchoGenerator:
             mixed = np.eye(d) / d
             np.einsum("abab->ab", l)[...] -= self.rate * (1.0 - mixed)
             np.einsum("aaii->ai", l)[...] += self.rate * (1.0 / d - mixed)
-        return out
+        return l.reshape(d * d, d * d)
 
 
 def rmt_generator(h_lambda: np.ndarray, h_zero: np.ndarray, rate: float) -> EchoGenerator:
@@ -251,11 +250,10 @@ def _check_hamiltonians(h_lambda: np.ndarray, h_zero: np.ndarray):
 
 @dataclass(eq=False)
 class Trajectory:
-    """A propagation on a grid: traces[i] is tr[X(t_i)], and states[i] is X(t_i) when kept."""
+    """A propagation on a grid: traces[i] is tr[X(t_i)]."""
 
     grid: TimeGrid
     traces: np.ndarray
-    states: np.ndarray | None = None
 
 
 # Bader, Blanes & Casas, "Computing the matrix exponential with an optimized Taylor
@@ -381,7 +379,7 @@ _THETA = {
 
 
 def _action(gen: EchoGenerator):
-    """(apply, bound): x -> L x on a (..., d, d) stack, and a bound on ||L||_1.
+    """(apply, bound): x -> L x on a d x d state, and a bound on ||L||_1.
 
     The left-only terms, -i H_lam and -rate fold into one left factor K_L, the
     right-only terms and i H_0 into K_R, so L x = K_L x + x K_R + sum A x B
@@ -407,14 +405,14 @@ def _action(gen: EchoGenerator):
         for a, b in products:
             out += a @ x @ b
         if reinjection:
-            np.einsum("...ii->...i", out)[...] += reinjection * np.einsum("...ii->...", x)[..., None]
+            np.einsum("ii->i", out)[...] += reinjection * np.einsum("ii->", x)
         return out
 
     def one(m):
-        return float(np.abs(m).sum(axis=-2).max())
+        return float(np.abs(m).sum(axis=0).max())
 
     def inf(m):
-        return float(np.abs(m).sum(axis=-1).max())
+        return float(np.abs(m).sum(axis=1).max())
 
     return apply, one(left) + inf(right) + sum(one(a) * inf(b) for a, b in products) + gen.rate
 
@@ -427,31 +425,28 @@ def _taylor_degree(norm: float) -> tuple[int, int]:
     return min(choices, key=lambda ms: ms[0] * ms[1])
 
 
-def _max_entry(x: np.ndarray) -> np.ndarray:
-    """Largest |Re| or |Im| of each d x d matrix in a C-ordered (..., d, d) stack."""
-    return np.abs(x.view(np.float64)).max(axis=(-2, -1))
+def _max_entry(x: np.ndarray) -> float:
+    """Largest |Re| or |Im| of a C-ordered complex array."""
+    return float(np.abs(x.view(np.float64)).max())
 
 
 def _taylor_action(apply, x: np.ndarray, h: float, m: int, s: int) -> np.ndarray:
-    """exp(L s h) x for a C-ordered (..., d, d) stack x, L x given by ``apply``.
+    """exp(L s h) x for a C-ordered d x d state x, L x given by ``apply``.
 
     s substeps of the degree-m Taylor series of exp(L h), each summed until
-    Al-Mohy & Higham's test (algorithm 3.2 of the paper above) holds for that
-    state: the last two terms, in the largest-entry norm, are within the unit
-    roundoff of the sum.  A state's sum stops at its own term count, so a stack
-    gives each state the bits it gets alone.
+    Al-Mohy & Higham's test (algorithm 3.2 of the paper above) holds: the
+    last two terms, in the largest-entry norm, are within the unit roundoff
+    of the sum.
     """
     for _ in range(s):
         total = x.copy()
         c1 = _max_entry(x)
-        live = np.ones(c1.shape, dtype=bool)
         for j in range(1, m + 1):
             x = apply(x)
             x *= h / j
             c2 = _max_entry(x)
-            np.add(total, x, out=total, where=live[..., None, None])
-            live &= c1 + c2 > 2.0**-53 * _max_entry(total)
-            if not live.any():
+            total += x
+            if c1 + c2 <= 2.0**-53 * _max_entry(total):
                 break
             c1 = c2
         x = total
@@ -513,7 +508,6 @@ def propagate(
     method: str = "superoperator",
     rtol: float = 1e-9,
     atol: float = 1e-12,
-    keep_states: bool = True,
 ) -> Trajectory:
     """Integrate the master equation from a density matrix over a grid.
 
@@ -529,9 +523,8 @@ def propagate(
     d x d products only, with substeps from a bound on ||L dt||_1.
     ``stepper`` is adaptive RK45.
 
-    The trajectory always holds the trace at every grid point.  With
-    ``keep_states=False`` the superoperator method holds one state at a time
-    and the trajectory has no states.
+    The trajectory holds the trace at every grid point; the superoperator
+    method holds one state at a time and the diagonal of each.
     """
     check_method(method, generator.dim)
     matrix = np.asarray(getattr(rho0, "matrix", rho0), dtype=complex)
@@ -542,20 +535,16 @@ def propagate(
     check_initial_state(matrix)
 
     if method == "stepper":
-        states = _propagate_stepper(generator, matrix, grid, rtol, atol)
-        return Trajectory(grid, np.einsum("tii->t", states), states)
-    # states go to the whole trajectory, or in turn to the rows of a small block;
-    # each full block, and the last, gives its traces at once
-    d, n = generator.dim, len(grid)
-    rows = n if keep_states else max(1, min(n, _TRACE_BLOCK_BYTES // (16 * d * d)))
-    held = np.empty((rows, d, d), dtype=complex)
-    traces = np.empty(n, dtype=complex)
-    for k, state in enumerate(_superoperator_states(generator, matrix, grid)):
-        row = k % rows
-        held[row] = state
-        if row == rows - 1 or k == n - 1:
-            traces[k - row:k + 1] = np.einsum("tii->t", held[:row + 1])
-    return Trajectory(grid, traces, held if keep_states else None)
+        traces = np.einsum("tii->t", _propagate_stepper(generator, matrix, grid, rtol, atol))
+    else:
+        diagonals = np.empty((len(grid), generator.dim), dtype=complex)
+        for k, x in enumerate(_superoperator_states(generator, matrix, grid)):
+            diagonals[k] = np.diagonal(x)
+        # each diagonal summed left to right from zero, as einsum("tii->t") sums a stack of states
+        traces = np.zeros(len(grid), dtype=complex)
+        for column in diagonals.T:
+            traces += column
+    return Trajectory(grid, traces)
 
 
 def trace_curve(trajectory: Trajectory) -> FidelityCurve:

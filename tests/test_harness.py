@@ -26,7 +26,7 @@ from echo_gfa.harness import (
     run_general,
     theory_pipeline,
 )
-from echo_gfa.master import CorrelationKernel, general_generator, propagate, rmt_generator, trace_curve
+from echo_gfa.master import CorrelationKernel, _superoperator_states, general_generator, rmt_generator
 from echo_gfa.rmt import EnsembleConfig, build_realization, sample_gaussian, stream
 from echo_gfa.volterra import StepSizeError, solve_many
 
@@ -419,23 +419,27 @@ class TestRunGeneral:
     @pytest.mark.parametrize("beta", [1, 2])
     def test_traces_are_those_of_full_propagations(self, beta):
         # run_general keeps only traces; they are bit for bit the traces of full
-        # trajectories on the dense route, draw by draw and for the reference
+        # trajectories on the dense route, summed as a (steps, d, d) stack, draw by
+        # draw and for the reference
         config = small_general_config(dim=5, beta=beta, n_draws=3)
         f_general, reference, rate = run_general(config)
         env = build_realization(EnsembleConfig(5, beta, config.master_seed))
         h_zero = np.diag(env.env_levels).astype(complex)
         h_lam = h_zero + config.lam * env.perturbation
         rho0 = np.eye(5, dtype=complex) / 5
+
+        def traces_of(gen):
+            return np.einsum("tii->t", np.array(list(_superoperator_states(gen, rho0, config.grid))))
+
         traces = []
         for draw in range(config.n_draws):
             v = sample_gaussian(5, beta, stream(EnsembleConfig(5, beta, config.master_seed, draw), "coupling"))
             gen = general_generator(h_lam, h_zero, v, config.kernel, config.strength)
-            traces.append(trace_curve(propagate(gen, rho0, config.grid)).values)
+            traces.append(traces_of(gen))
         expected = FidelityCurve(config.grid, *batch_statistics(np.array(traces)))
         assert np.array_equal(f_general.values, expected.values)
         assert np.array_equal(f_general.stderr_re, expected.stderr_re)
-        expected = trace_curve(propagate(rmt_generator(h_lam, h_zero, rate), rho0, config.grid))
-        assert np.array_equal(reference.values, expected.values)
+        assert np.array_equal(reference.values, traces_of(rmt_generator(h_lam, h_zero, rate)))
 
     def test_matrix_free_run_is_fast_and_small(self):
         # dim 50, 8 draws: the matrix-free route takes seconds and well under 200 MB more

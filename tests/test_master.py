@@ -8,7 +8,6 @@ from echo_gfa.curves import TimeGrid
 from echo_gfa.echo import EchoSetup, Spectral, fidelity_curve, kernel_curve
 from echo_gfa.master import (
     CorrelationKernel,
-    EchoGenerator,
     PropagationError,
     QuasiDensity,
     check_method,
@@ -22,6 +21,7 @@ from echo_gfa.master import (
     _action,
     _dense_states,
     _matrix_free_states,
+    _propagate_stepper,
     _step_matrix,
     _superoperator_states,
     _taylor_action,
@@ -307,12 +307,12 @@ class TestPropagate:
         real = make_realization(dim=8)
         gen = realization_generator(real, lam=0.0, rate=0.5)
         grid = TimeGrid(dt=0.1, n_steps=200)
-        rho0 = QuasiDensity.maximally_mixed(8)
-        traj = propagate(gen, rho0, grid, method="superoperator")
-        dev = np.max(np.abs(traj.states - rho0.matrix))
+        rho0 = QuasiDensity.maximally_mixed(8).matrix
+        states = np.array(list(_superoperator_states(gen, rho0, grid)))
+        dev = np.max(np.abs(states - rho0))
         assert dev < 1e-9
-        traj = propagate(gen, rho0, grid, method="stepper")
-        assert np.max(np.abs(traj.states - rho0.matrix)) < 1e-7
+        states = _propagate_stepper(gen, rho0, grid, rtol=1e-9, atol=1e-12)
+        assert np.max(np.abs(states - rho0)) < 1e-7
 
     def test_zero_damping_reduces_to_fidelity(self):
         real = make_realization(dim=6, seed=11)
@@ -327,10 +327,10 @@ class TestPropagate:
         real = make_realization(dim=8, seed=13)
         gen = realization_generator(real, lam=0.1, rate=0.05)
         grid = TimeGrid(dt=0.1, n_steps=100)
-        rho0 = QuasiDensity.maximally_mixed(8)
-        a = propagate(gen, rho0, grid, method="superoperator")
-        b = propagate(gen, rho0, grid, method="stepper")
-        assert np.max(np.abs(a.states - b.states)) < 1e-7
+        rho0 = QuasiDensity.maximally_mixed(8).matrix
+        a = np.array(list(_superoperator_states(gen, rho0, grid)))
+        b = _propagate_stepper(gen, rho0, grid, rtol=1e-9, atol=1e-12)
+        assert np.max(np.abs(a - b)) < 1e-7
 
     def test_trace_matches_damped_volterra_solution(self):
         # the trace of the driven system equals e^{-Gt} times the solution of
@@ -451,10 +451,11 @@ class TestPropagate:
         # a dim far above the crossover propagates, as the stepper does
         dim = 70
         gen = rmt_generator(np.zeros((dim, dim)), np.zeros((dim, dim)), rate=0.1)
-        rho0 = QuasiDensity.maximally_mixed(dim)
-        a = propagate(gen, rho0, TimeGrid(0.1, 2))
-        b = propagate(gen, rho0, TimeGrid(0.1, 2), method="stepper")
-        assert np.max(np.abs(a.states - b.states)) < 1e-9
+        rho0, grid = QuasiDensity.maximally_mixed(dim).matrix, TimeGrid(0.1, 2)
+        a = np.array(list(_superoperator_states(gen, rho0, grid)))
+        b = _propagate_stepper(gen, rho0, grid, rtol=1e-9, atol=1e-12)
+        assert np.max(np.abs(a - b)) < 1e-9
+        assert np.max(np.abs(propagate(gen, rho0, grid).traces - np.einsum("tii->t", b))) < 1e-9
 
     def test_rejects_invalid_initial_state(self):
         gen = rmt_generator(np.zeros((3, 3)), np.zeros((3, 3)), rate=0.0)
@@ -499,36 +500,26 @@ class TestMatrixFree:
         dense = np.array([rho0.reshape(-1), *_dense_states(gen, rho0, grid)]).reshape(len(grid), dim, dim)
         free = np.array([rho0, *_matrix_free_states(gen, rho0, grid)])
         assert np.max(np.abs(free - dense)) < 1e-12
-        states = propagate(gen, rho0, grid).states
+        # propagate takes the route for its dim, and its traces sum those states' diagonals
+        states = np.array(list(_superoperator_states(gen, rho0, grid)))
         assert np.array_equal(states, free if dim >= _MATRIX_FREE_DIM else dense)
+        assert np.array_equal(propagate(gen, rho0, grid).traces, np.einsum("tii->t", states))
 
     @pytest.mark.parametrize("form", ["rmt", "exponential"])
     def test_action_matches_apply(self, form):
         gen = route_generator(form, 7, beta=2)
         apply, bound = _action(gen)
-        rho = np.stack([random_density(7, np.random.default_rng(k)) for k in range(3)])
-        assert np.max(np.abs(apply(rho) - gen.apply(rho))) < 1e-12 * np.max(np.abs(gen.apply(rho)))
+        for k in range(3):
+            rho = random_density(7, np.random.default_rng(k))
+            assert np.max(np.abs(apply(rho) - gen.apply(rho))) < 1e-12 * np.max(np.abs(gen.apply(rho)))
         # the bound holds for ||L||_1 itself
         assert np.abs(gen.superoperator()).sum(axis=0).max() <= bound * (1 + 1e-12)
 
-    def test_stacked_action_equals_per_draw_actions(self):
-        # draws stacked as (n_draws, d, d), with their terms stacked alike, give each
-        # draw the bits of its own action, though their series stop at different terms
-        dim, n_draws = 9, 4
-        gens = [route_generator("exponential", dim, draw=k) for k in range(n_draws)]
-        stacked = EchoGenerator(gens[0].h_lambda, gens[0].h_zero,
-                                tuple((np.stack([g.terms[i][0] for g in gens]) if gens[0].terms[i][0] is not None else None,
-                                       np.stack([g.terms[i][1] for g in gens]) if gens[0].terms[i][1] is not None else None)
-                                      for i in range(len(gens[0].terms))))
-        rho = np.stack([random_density(dim, np.random.default_rng(k)) for k in range(n_draws)])
-        apply, bound = _action(stacked)
+    def test_zero_state_stops_at_once(self):
+        # the first term of a zero state already passes the stopping test, and the state stays zero
+        apply, bound = _action(route_generator("exponential", 9))
         m, s = _taylor_degree(bound * 0.3)
-        together = _taylor_action(apply, rho, 0.3 / s, m, s)
-        for gen, x, got in zip(gens, rho, together):
-            alone = _taylor_action(_action(gen)[0], np.ascontiguousarray(x), 0.3 / s, m, s)
-            assert np.array_equal(got, alone)
-        # a zero state stops at once and stays zero
-        assert not np.any(_taylor_action(apply, np.zeros_like(rho), 0.3 / s, m, s))
+        assert not np.any(_taylor_action(apply, np.zeros((9, 9), dtype=complex), 0.3 / s, m, s))
 
     @pytest.mark.parametrize("norm", [0.0, 1e-9, 0.5, 3.0, 40.0])
     def test_taylor_degree_is_the_cheapest_admissible(self, norm):
