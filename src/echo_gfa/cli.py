@@ -43,15 +43,14 @@ from .curves import TimeGrid
 from .harness import (
     ExperimentConfig,
     GeneralConfig,
-    _pin_numpy_blas,
     _release_free_heap,
     difference_curve,
     run_ensemble,
     run_general,
     theory_pipeline,
 )
-from .harness import BLAS_THREAD_VARS  # noqa: F401  the thread variables the CLI honours, importable from it
-from .master import CorrelationKernel
+from .master import BLAS_THREAD_VARS  # noqa: F401  the thread variables the CLI honours, importable from it
+from .master import CorrelationKernel, _pin_numpy_blas
 from .master import propagate  # noqa: F401  perfbench/tracing.py wraps cli.propagate
 from .rmt import build_realization  # noqa: F401  perfbench/tracing.py wraps cli.build_realization
 from .volterra import check_inputs
@@ -63,7 +62,7 @@ EXIT_NUMERIC = 4
 
 THREADS_ENV = "ECHO_GFA_THREADS"
 
-# numpy's BLAS on one thread for the whole CLI process; pool workers pin their own
+# numpy's BLAS on one thread in the CLI process, but for general's dense route; pool workers pin their own
 _pin_numpy_blas()
 
 

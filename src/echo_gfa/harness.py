@@ -21,7 +21,6 @@ call, on the batch-averaged inputs <f> and <tr M>/dim.
 from __future__ import annotations
 
 import ctypes
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from . import volterra
 from .curves import FidelityCurve, TimeGrid, check_integer, check_number, check_same_grid
 from .echo import EchoOperator, EchoSetup, check_hermitian
-from .master import CorrelationKernel, check_method, general_generator, propagate, rmt_generator, trace_curve
+from .master import CorrelationKernel, _pin_numpy_blas, check_method, general_generator, propagate, rmt_generator, trace_curve
 from .rmt import EnsembleConfig, build_realization, sample_gaussian, stream
 
 # both spellings name the one per-realization route
@@ -215,34 +214,6 @@ def _chunk_task(args):
     fg_out = volterra.solve_rows(f_out, k_out, gammas, grid.dt)
     fg_out *= np.exp(-np.outer(gammas, grid.times))
     return start, f_out, k_out, fg_out
-
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _pin_numpy_blas() -> None:
-    """Run numpy's bundled OpenBLAS on one thread, unless a thread variable is set.
-
-    Every numpy BLAS call here is small (eigh, phase-table GEMMs, Volterra
-    products, the d x d products of the matrix-free master-equation route),
-    and OpenBLAS's second thread only spin-waits on them.
-    The CLI calls this at import, and each pool worker calls it in its
-    initializer, so a worker runs one thread whatever the start method: a
-    forkserver or spawn worker imports this module, not the CLI.  scipy, and
-    with it scipy's own OpenBLAS, is loaded only once ``general`` propagates a
-    dense step, below ``master._MATRIX_FREE_DIM``; that library keeps its pool
-    for zgemm and zgemv on the d^2 x d^2 step matrix, where the second thread
-    helps (400 zgemv steps at dim 16: 5.1-6.5 ms on two threads, 7.5-7.6 ms on one).
-    """
-    if any(var in os.environ for var in BLAS_THREAD_VARS):
-        return
-    try:
-        # looked up through numpy's linalg extension, whose handle also searches the libraries it links
-        set_threads = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
-        return  # not numpy's scipy-openblas wheel: leave BLAS as it is
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    set_threads(1)
 
 
 def _release_free_heap() -> None:

@@ -27,7 +27,9 @@ the eigenbasis of H_lam.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,16 +39,43 @@ from .echo import Spectral, check_hermitian, check_initial_state
 
 PROPAGATION_METHODS = ("superoperator", "stepper")
 # the superoperator method's first dim on the matrix-free route.  Where the routes
-# cross grows with the grid: timed as the CLI runs them on two cores (numpy's BLAS
-# on one thread, scipy's zgemm and zgemv on two), Born-Markov crosses near dim 20
-# at 50 steps and near dim 30 at 400, the reduced form near 18 and 26.  Dim 24 is
-# where the matrix-free route first wins in the geometric mean of the time ratios
-# over the 50-400 step grids of the presets and gates (Born-Markov at dim 24:
-# 73-77 ms dense against 30 ms matrix-free at 50 steps, 112-118 ms against 245 ms
-# at 400)
+# cross grows with the grid: timed as the CLI runs them on two cores (the dense
+# route on numpy's two-thread pool, the matrix-free one on one thread), Born-Markov
+# crosses near dim 20 at 50 steps and near 30 at 400, the reduced form near 18 and
+# 26.  Dim 24 is where the matrix-free route first wins in the geometric mean of the
+# time ratios over 50 and 400 steps (Born-Markov at dim 24: 79-92 ms dense against
+# 32 ms matrix-free at 50 steps, 113-141 ms against 267-366 ms at 400)
 _MATRIX_FREE_DIM = 24
 # the most working memory the superoperator method may need, in bytes
 _MAX_WORKING_BYTES = 2**31
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# numpy's OpenBLAS thread setter and the count the first _pin_numpy_blas replaced; a no-op until it pins
+_numpy_blas = (lambda count: None, 1)
+
+
+def _pin_numpy_blas() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, unless a thread variable is set.
+
+    Most numpy BLAS calls here are small (eigh, phase-table GEMMs, Volterra
+    products, the d x d products of the matrix-free route and the stepper),
+    and OpenBLAS's second thread only spin-waits on them.  The count it
+    replaces is kept for the d^2 x d^2 products of :func:`_dense_states`,
+    where the pool helps.  The CLI calls this at import, and each pool worker in its
+    initializer, so a worker runs one thread under any start method.
+    """
+    global _numpy_blas
+    if any(var in os.environ for var in BLAS_THREAD_VARS):
+        return
+    try:
+        # looked up through numpy's linalg extension, whose handle also searches the libraries it links
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get_threads, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return  # not numpy's scipy-openblas wheel: leave BLAS as it is
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    _numpy_blas = (set_threads, max(_numpy_blas[1], get_threads()))  # a later pin finds one thread
+    set_threads(1)
 
 
 class PropagationError(RuntimeError):
@@ -273,24 +302,25 @@ _TAYLOR_18 = np.array([
 ])
 # reals per column block of the coefficient product
 _COMBINE_BLOCK = 8192
+_PRODUCT_COLUMNS = 64  # columns per block of A_9 = B_0 B_4 + B_3
 
 
 def _step_matrix(l: np.ndarray, dt: float) -> np.ndarray:
     """exp(L dt), written over ``l``, by scaling and squaring the degree-18 Taylor polynomial.
 
     A = L dt / 2^s with s the least power that brings ||A||_1 under _THETA_18,
-    so the scaling is exact.  Every product is scipy's zgemm written in place:
-    A, A^2, A^3 and A^6 fill a (4, n, n) buffer, the five B_i overwrite its
-    four slots and ``l``, then A_9 = B_0 B_4 + B_3 and T = B_1 + (B_2 + A_9) A_9,
-    which is squared s times.  Whichever of B_0 and B_1 the last product
-    writes is the one kept in ``l``, so T ends there and the buffer is freed
-    on return.  A diagonal L returns the vector exp(diag(L) dt) instead and
-    leaves ``l`` as it is: its exponential is elementwise and exact.
+    so the scaling is exact.  A, A^2, A^3 and A^6 fill a (4, n, n) buffer,
+    the five B_i overwrite its four slots and ``l``, A_9 = B_0 B_4 + B_3
+    fills B_4's slot a column block at a time (a block reads only its own
+    columns of B_4), and T = B_1 + (B_2 + A_9) A_9, the product written into
+    B_0's slot, is squared s times.  Whichever of B_0 and B_1 the last
+    product writes is the one kept in ``l``, so T ends there and the buffer
+    is freed on return.  A diagonal L returns the vector exp(diag(L) dt)
+    instead and leaves ``l`` as it is: its exponential is elementwise and exact.
     """
     diagonal = np.diagonal(l)
     if np.count_nonzero(l) == np.count_nonzero(diagonal):
         return np.exp(diagonal * dt)
-    from scipy.linalg.blas import zgemm
 
     norm = float(np.abs(l).sum(axis=0).max()) * dt
     if not np.isfinite(norm):
@@ -298,19 +328,11 @@ def _step_matrix(l: np.ndarray, dt: float) -> np.ndarray:
     s = math.ceil(math.log2(norm / _THETA_18)) if norm > _THETA_18 else 0
 
     buf = np.empty((4, *l.shape), dtype=complex)
-
-    def product(out, a, b, add=False):
-        # out = a b (+ out): the transposed views are F-ordered, as zgemm wants them;
-        # f2py would silently return a copy of a c it cannot write
-        c = zgemm(1.0, b.T, a.T, beta=float(add), c=out.T, overwrite_c=1)
-        if c.ctypes.data != out.ctypes.data:
-            raise RuntimeError("zgemm did not write its output buffer in place")
-
     np.multiply(l, dt * 2.0**-s, out=buf[0])
     a, a2, a3, a6 = buf
-    product(a2, a, a)
-    product(a3, a2, a)
-    product(a6, a3, a3)
+    np.matmul(a, a, out=a2)
+    np.matmul(a2, a, out=a3)
+    np.matmul(a3, a3, out=a6)
     # T is B_1 after an even number of squarings and B_0 after an odd one
     kept = 1 - s % 2
     slots = list(buf)
@@ -331,12 +353,15 @@ def _step_matrix(l: np.ndarray, dt: float) -> np.ndarray:
         if c0:
             np.einsum("ii->i", b)[...] += c0
     b0, b1, b2, b3, b4 = slots
-    product(b3, b0, b4, add=True)  # A_9
-    b2 += b3
-    product(b1, b2, b3, add=True)  # T
+    for start in range(0, l.shape[0], _PRODUCT_COLUMNS):
+        cols = slice(start, start + _PRODUCT_COLUMNS)
+        b4[:, cols] = b0 @ b4[:, cols] + b3[:, cols]  # A_9
+    b2 += b4
+    np.matmul(b2, b4, out=b0)
+    b1 += b0  # T
     t, spare = b1, b0
     for _ in range(s):
-        product(spare, t, t)
+        np.matmul(t, t, out=spare)
         t, spare = spare, t
     return t
 
@@ -344,26 +369,22 @@ def _step_matrix(l: np.ndarray, dt: float) -> np.ndarray:
 def _dense_states(gen: EchoGenerator, x: np.ndarray, grid: TimeGrid):
     """vec(X(t_k)) = exp(L dt)^k vec(X(0)) for k >= 1, one state at a time.
 
-    One step from :func:`_step_matrix` serves every point.  A diagonal
-    generator's step is a vector, applied elementwise; a dense step is a
-    matrix-vector product on the BLAS whose zgemm built it.
+    One step from :func:`_step_matrix` serves every point: a vector applied
+    elementwise for a diagonal generator, else a matrix-vector product.  The
+    build and the steps run numpy's BLAS on the thread count that
+    :func:`_pin_numpy_blas` replaced, and one thread again after, also on an
+    error; where no pin happened, the thread count is left alone.
     """
-    step = _step_matrix(gen.superoperator(), grid.dt)
-    x = x.reshape(-1)
-    if step.ndim == 1:
+    set_threads, count = _numpy_blas
+    set_threads(count)
+    try:
+        step = _step_matrix(gen.superoperator(), grid.dt)
+        x = x.reshape(-1)
         for _ in range(1, len(grid)):
-            x = step * x
+            x = step @ x if step.ndim == 2 else step * x
             yield x
-        return
-    # only a dense step needs scipy.linalg, whose import alone takes about 0.35 s
-    from scipy.linalg.blas import zgemv
-
-    # step.T is an F-contiguous view, so trans=1 applies step itself without a copy
-    step_t = step.T
-    for _ in range(1, len(grid)):
-        # scipy's zgemv, not np.matmul: the CLI runs numpy's OpenBLAS on one thread, scipy's keeps its pool
-        x = zgemv(1.0, step_t, x, trans=1)
-        yield x
+    finally:
+        set_threads(1)
 
 
 # Al-Mohy & Higham, "Computing the action of the matrix exponential", SIAM J. Sci.
@@ -514,14 +535,14 @@ def propagate(
     ``superoperator`` propagates exactly, to unit roundoff, by one of two
     routes chosen by dim.  Below ``_MATRIX_FREE_DIM`` it builds one step
     matrix exp(L dt) from the dense generator L and applies it once per grid
-    step; it needs no eigenbasis, so defective generators are handled too.
-    The step matrix is the degree-18 Taylor polynomial evaluated in five
-    matrix products with scaling and squaring (Bader, Blanes & Casas,
-    Mathematics 7, 1174, 2019), so it needs no linear solve.  From that dim
-    on it never forms L: each grid step is the truncated-Taylor action of
-    Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488, 2011) on the d x d state,
-    d x d products only, with substeps from a bound on ||L dt||_1.
-    ``stepper`` is adaptive RK45.
+    step, on numpy's BLAS pool; it needs no eigenbasis, so defective
+    generators are handled too.  The step matrix is the degree-18 Taylor
+    polynomial in five matrix products with scaling and squaring (Bader,
+    Blanes & Casas, Mathematics 7, 1174, 2019), so it needs no linear solve.
+    From that dim on it never forms L: each grid step is the truncated-Taylor
+    action of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488, 2011) on the
+    d x d state, d x d products only, with substeps from a bound on
+    ||L dt||_1.  ``stepper`` is adaptive RK45, the one route on scipy.
 
     The trajectory holds the trace at every grid point; the superoperator
     method holds one state at a time and the diagonal of each.

@@ -232,11 +232,14 @@ def solve_rows(f: np.ndarray, kernel: np.ndarray, gammas, dt: float) -> np.ndarr
     gammas = check_rates(gammas, dt)
     n = f.shape[-1]
     if n <= _FAST_THRESHOLD and gammas.size:
-        return _solve_direct(f, kernel, gammas, dt)
-    out = np.empty(f.shape[:-1] + gammas.shape + (n,), dtype=complex)
-    for row in np.ndindex(f.shape[:-1]):
-        for gi, g in enumerate(gammas):
-            out[row + (gi,)] = f[row] if g == 0.0 else _solve_fast(f[row], kernel[row], g, dt)
+        out = _solve_direct(f, kernel, gammas, dt)
+    else:
+        out = np.empty(f.shape[:-1] + gammas.shape + (n,), dtype=complex)
+        for row in np.ndindex(f.shape[:-1]):
+            for gi in np.flatnonzero(gammas):
+                out[row + (gi,)] = _solve_fast(f[row], kernel[row], gammas[gi], dt)
+    # Gamma = 0 gives f itself, signed zeros included
+    out[..., gammas == 0.0, :] = f[..., None, :]
     return out
 
 

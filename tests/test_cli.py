@@ -948,7 +948,7 @@ class TestValidateAndErrors:
 
     def test_import_loads_no_scipy(self):
         # every command pays for what importing the CLI pulls in; only general's
-        # propagation routes import scipy, and only when they run
+        # stepper imports scipy, and only when it runs
         loaded = self.fresh_python(
             "import sys, echo_gfa.cli\n"
             "print(*[m for m in sys.modules if m.split('.')[0] == 'scipy'])"
@@ -990,18 +990,16 @@ print(before, "scipy.integrate" in sys.modules, np.max(np.abs(curves[0] - curves
         assert (before, after) == ("False", "True")
         assert float(diff) < 1e-7
 
-    def test_general_loads_scipy_linalg_when_it_runs(self, tmp_path):
-        # the superoperator route imports expm and zgemv only when general propagates
-        cfg = write_general_config(tmp_path / "g.json", n_draws=1)
+    def test_general_superoperator_loads_no_scipy(self, tmp_path):
+        # the dense route runs on numpy's BLAS: general at dim 16 imports no scipy module at all
+        cfg = write_general_config(tmp_path / "g.json", dim=16, n_draws=1, method="superoperator")
         code = f"""
 import sys
 from echo_gfa.cli import main
-before = "scipy.linalg" in sys.modules
 code = main(["general", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}])
-print(before, "scipy.linalg" in sys.modules, code)
+print(code, *sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
-        before, after, code = self.fresh_python(code).splitlines()[-1].split()
-        assert (before, after, int(code)) == ("False", "True", EXIT_OK)
+        assert self.fresh_python(code).splitlines()[-1].split() == [str(EXIT_OK)]
 
     def test_console_script_installed(self):
         import shutil
@@ -1022,7 +1020,10 @@ def _blas_name(config) -> str | None:
     _blas_name(np.__config__) != "scipy-openblas", reason="numpy is not built on scipy-openblas"
 )
 class TestNumpyBlasThreads:
-    """Importing the CLI runs numpy's bundled OpenBLAS on one thread, and only that."""
+    """Importing the CLI runs numpy's bundled OpenBLAS on one thread, and only that.
+
+    Only the dense master-equation route raises it back to the count it had.
+    """
 
     # defines blas_threads(libs): the thread count of the OpenBLAS mapped from the
     # directory libs; a missing library or symbol raises, so the test fails
@@ -1082,6 +1083,63 @@ print(blas_threads("numpy.libs"))
             **set_vars,
         )
         assert after == before
+
+    # prints numpy's thread count before the CLI pins it, within a dim-4 dense route (at the
+    # step build and at each of its 5 steps), after it, within the build of a step whose
+    # L dt overflows, and after the PropagationError that build raises
+    ROUTE = """
+import numpy
+print(blas_threads("numpy.libs"))
+import echo_gfa.cli
+from echo_gfa import master
+from echo_gfa.curves import TimeGrid
+
+step_matrix = master._step_matrix
+
+def reporting(l, dt):
+    print(blas_threads("numpy.libs"))
+    return step_matrix(l, dt)
+
+master._step_matrix = reporting
+rng = numpy.random.default_rng(5)
+h0, v = (m + m.conj().T for m in rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4)))
+gen = master.general_generator(h0 + 0.1 * v, h0, v, master.CorrelationKernel.exponential(0.5), 0.3)
+for _ in master._dense_states(gen, numpy.eye(4) / 4, TimeGrid(0.1, 5)):
+    print(blas_threads("numpy.libs"))
+print(blas_threads("numpy.libs"))
+overflowing = master.rmt_generator(numpy.zeros((2, 2)), numpy.zeros((2, 2)), rate=1e308)
+try:
+    master.propagate(overflowing, master.QuasiDensity.maximally_mixed(2), TimeGrid(10.0, 2))
+except master.PropagationError:
+    print(blas_threads("numpy.libs"))
+"""
+
+    def test_dense_route_runs_the_pool_numpy_had(self):
+        before, *inside, after, overflow, after_error = self.run(self.ROUTE)
+        assert inside == [before] * 6 and overflow == before
+        assert (after, after_error) == (1, 1)
+
+    def test_dense_route_leaves_a_set_thread_count(self):
+        counts = self.run(self.ROUTE, OPENBLAS_NUM_THREADS="2")
+        assert len(counts) == 10 and set(counts) == {counts[0]}
+
+    def test_dense_route_bits_do_not_depend_on_the_pool(self):
+        # a dim-16 Born-Markov propagation on the raised pool and on one thread
+        code = """
+import hashlib
+import numpy as np
+import echo_gfa.cli
+from echo_gfa import master
+from echo_gfa.curves import TimeGrid
+
+rng = np.random.default_rng(11)
+h0, v = (m + m.conj().T for m in rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16)))
+gen = master.general_generator(h0 + 0.1 * v, h0, v, master.CorrelationKernel.exponential(0.5), 0.2)
+traces = master.propagate(gen, master.QuasiDensity.maximally_mixed(16), TimeGrid(0.05, 100)).traces
+print(hashlib.sha256(traces.tobytes()).hexdigest())
+"""
+        raised = TestValidateAndErrors.fresh_python(code, unset=BLAS_THREAD_VARS)
+        assert raised == TestValidateAndErrors.fresh_python(code, OPENBLAS_NUM_THREADS="1")
 
     def test_pool_workers_inherit_one_thread(self):
         # two chunks of 32 realizations, so run_ensemble starts two workers

@@ -87,11 +87,18 @@ def test_check_rates_rejects_arrays_of_non_numbers():
 
 
 class TestSolve:
-    def test_zero_rate_returns_forcing_bitwise(self):
-        grid = TimeGrid(dt=0.05, n_steps=100)
+    def test_zero_rate_returns_forcing_bitwise(self, monkeypatch):
+        # bytes, not np.array_equal, which takes -0.0 for 0.0; on the direct and the fast path
+        grid = TimeGrid(dt=0.05, n_steps=20)
         f, k = smooth_pair(grid)
-        out = solve(VolterraProblem(f=f, kernel=k, gamma_rate=0.0))
-        assert np.array_equal(out.values, f.values)
+        values = f.values.copy()
+        values.imag = -0.0
+        f = curve(grid, values)
+        for threshold in (volterra_mod._FAST_THRESHOLD, 0):
+            monkeypatch.setattr(volterra_mod, "_FAST_THRESHOLD", threshold)
+            out = solve(VolterraProblem(f=f, kernel=k, gamma_rate=0.0))
+            assert out.values.tobytes() == f.values.tobytes()
+            assert solve_many(f, k, [0.3, 0.0])[1].tobytes() == f.values.tobytes()
 
     def test_flat_echo_grows_exponentially(self):
         # f = kernel = 1 turns the equation into phi' = G phi
