@@ -3,7 +3,8 @@
 The object evolved here is X(t) = U_lam(t) rho U_0(t)^dag: it starts as a
 proper density matrix but is *not* trace preserving -- its trace is the
 fidelity amplitude.  One :class:`EchoGenerator` holds either of two forms,
-as terms A X B plus an isotropic damping rate:
+folded into one shape: a left factor, a right factor, products A X B and
+a trace reinjection r tr[X] 1:
 
 general (Born-Markov, second order in the far-bath coupling gamma)::
 
@@ -17,7 +18,9 @@ with the one-sided bath transforms
 and the random-matrix reduction obtained by averaging V' over the unitary
 ensemble::
 
-    dX/dt = -i (H_lam X - X H_0) - Gamma (X - tr[X]/dim * 1) .
+    dX/dt = -i (H_lam X - X H_0) - Gamma (X - tr[X]/dim * 1) ,
+
+that is, the left factor -Gamma * 1 and the reinjection r = Gamma / dim.
 
 For a delta-correlated bath C(s) with full-axis area C0 the reduction rate
 is Gamma = gamma^2 * dim * C0.  Both bath kernels (delta and exponential)
@@ -184,76 +187,88 @@ def gamma_operator(kernel: CorrelationKernel, spectral: Spectral, coupling: np.n
 
 @dataclass(eq=False)
 class EchoGenerator:
-    """Right-hand side -i (H_lam X - X H_0) + sum_k A_k X B_k - rate (X - tr[X]/dim 1).
+    """Right-hand side K_L X + X K_R + sum_k A_k X B_k + r tr[X] 1.
 
-    ``terms`` holds the (A_k, B_k) pairs, ``None`` standing for an identity factor.
+    The dissipator is ``left`` X + X ``right`` + sum_k A_k X B_k + r tr[X] 1,
+    with the (A_k, B_k) pairs in ``products`` and r the ``reinjection``;
+    folding in the Hamiltonian pair once gives K_L = -i H_lam + ``left`` and
+    K_R = i H_0 + ``right``.  A term A X B is A kron B^T on row-major vec(X).
     """
 
     h_lambda: np.ndarray
     h_zero: np.ndarray
-    terms: tuple = ()
-    rate: float = 0.0
+    left: np.ndarray
+    right: np.ndarray
+    products: tuple = ()
+    reinjection: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.k_left = -1j * self.h_lambda + self.left
+        self.k_right = 1j * self.h_zero + self.right
 
     @property
     def dim(self) -> int:
         return self.h_lambda.shape[0]
 
-    def dissipator(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.shape(rho), dtype=complex)
-        for a, b in self.terms:
-            x = rho if a is None else a @ rho
-            out += x if b is None else x @ b
-        if self.rate:
-            trace = np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
-            out -= self.rate * (rho - (trace / self.dim) * np.eye(self.dim))
+    def _sandwich(self, left: np.ndarray, right: np.ndarray, x: np.ndarray) -> np.ndarray:
+        out = left @ x
+        out += x @ right
+        for a, b in self.products:
+            out += a @ x @ b
+        if self.reinjection:
+            np.einsum("...ii->...i", out)[...] += self.reinjection * np.einsum("...ii->...", x)[..., None]
         return out
+
+    def dissipator(self, rho: np.ndarray) -> np.ndarray:
+        """The bath part alone, at one (d, d) state or a stack (..., d, d) of them."""
+        return self._sandwich(self.left, self.right, rho)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """The right-hand side at one (d, d) state or a stack (..., d, d) of them."""
-        return -1j * (self.h_lambda @ rho - rho @ self.h_zero) + self.dissipator(rho)
+        return self._sandwich(self.k_left, self.k_right, rho)
+
+    def norm_bound(self) -> float:
+        """A bound on ||L||_1: ||A||_1 ||B||_inf for each term A X B, d |r| for the reinjection."""
+
+        def norm(m, order):  # a Python float, whose sum overflows to inf without a warning
+            return float(np.linalg.norm(m, order))
+
+        products = sum(norm(a, 1) * norm(b, np.inf) for a, b in self.products)
+        return norm(self.k_left, 1) + norm(self.k_right, np.inf) + products + self.dim * abs(self.reinjection)
 
     def superoperator(self) -> np.ndarray:
         """Dense matrix L with L vec(rho) = vec(apply(rho)), row-major vec.
 
-        A term A rho B is (A kron B^T) vec(rho): it adds A[a, i] B[j, b] to
-        l[a, b, i, j] = L[a d + b, i d + j].  The Hamiltonian pair and ``terms``
-        are read as :meth:`apply` reads them, each in vectorised updates of
-        that view: a left-only term fills its diagonal j = b, a right-only term
-        its diagonal i = a, and a product term one row block l[a] at a time,
-        a d^3 outer product each.
+        A term A rho B adds A[a, i] B[j, b] to l[a, b, i, j] = L[a d + b, i d + j]:
+        K_L fills the diagonal j = b of that view, K_R the diagonal i = a,
+        each product one row block l[a] at a time (a d^3 outer product), and
+        the reinjection r tr[rho] 1 the entries a = b, i = j.
         """
         d = self.dim
         l = np.zeros((d, d, d, d), dtype=complex)
-        terms = ((-1j * self.h_lambda, None), (None, 1j * self.h_zero)) + self.terms
-        for left, right in terms:
-            if right is None:
-                np.einsum("abib->abi", l)[...] += left[:, None, :]
-            elif left is None:
-                np.einsum("abaj->abj", l)[...] += right.T
-            else:
-                right_t = right.T[:, None, :]
-                for a in range(d):
-                    l[a] += left[a, None, :, None] * right_t
-        if self.rate:
-            # -rate (1 - vec(1) vec(1)^T / d): rho sits at (i, j) = (a, b) and tr[rho] 1 at
-            # a = b, i = j; where both meet, one product -rate (1 - 1/d) keeps L's rounding
-            mixed = np.eye(d) / d
-            np.einsum("abab->ab", l)[...] -= self.rate * (1.0 - mixed)
-            np.einsum("aaii->ai", l)[...] += self.rate * (1.0 / d - mixed)
+        np.einsum("abib->abi", l)[...] += self.k_left[:, None, :]
+        np.einsum("abaj->abj", l)[...] += self.k_right.T
+        for a, b in self.products:
+            b_t = b.T[:, None, :]
+            for row in range(d):
+                l[row] += a[row, None, :, None] * b_t
+        np.einsum("aaii->ai", l)[...] += self.reinjection
         return l.reshape(d * d, d * d)
 
 
 def rmt_generator(h_lambda: np.ndarray, h_zero: np.ndarray, rate: float) -> EchoGenerator:
-    """Reduced-form generator with isotropic damping at the given rate."""
+    """Reduced-form generator: isotropic damping -rate (X - tr[X]/dim 1)."""
     h_lambda, h_zero = _check_hamiltonians(h_lambda, h_zero)
-    if not (np.isfinite(rate) and rate >= 0.0):
+    rate = check_number("damping rate", rate)
+    if rate < 0.0:
         raise ValueError(f"damping rate must be >= 0, got {rate!r}")
-    return EchoGenerator(h_lambda, h_zero, rate=float(rate))
+    d = h_lambda.shape[0]
+    return EchoGenerator(h_lambda, h_zero, -rate * np.eye(d), np.zeros((d, d)), reinjection=rate / d)
 
 
 def general_generator(h_lambda: np.ndarray, h_zero: np.ndarray, coupling: np.ndarray,
                       kernel: CorrelationKernel, strength: float) -> EchoGenerator:
-    """Born-Markov generator: both bath transforms up front, and the dissipator as four terms."""
+    """Born-Markov generator: both bath transforms up front, the dissipator in one-sided factors and products."""
     h_lambda, h_zero = _check_hamiltonians(h_lambda, h_zero)
     strength = check_number("coupling strength", strength)
     if not np.isfinite(strength * strength):  # strength ** 2 would raise OverflowError
@@ -262,8 +277,7 @@ def general_generator(h_lambda: np.ndarray, h_zero: np.ndarray, coupling: np.nda
     gl = gamma_operator(kernel, Spectral.from_matrix(h_lambda), v)
     g0 = gamma_operator(kernel, Spectral.from_matrix(h_zero), v)
     g2 = strength ** 2
-    terms = ((-g2 * (v @ gl), None), (g2 * v, g0), (g2 * gl, v), (None, -g2 * (g0 @ v)))
-    return EchoGenerator(h_lambda, h_zero, terms)
+    return EchoGenerator(h_lambda, h_zero, -g2 * (v @ gl), -g2 * (g0 @ v), ((g2 * v, g0), (g2 * gl, v)))
 
 
 def _check_hamiltonians(h_lambda: np.ndarray, h_zero: np.ndarray):
@@ -315,13 +329,8 @@ def _step_matrix(l: np.ndarray, dt: float) -> np.ndarray:
     columns of B_4), and T = B_1 + (B_2 + A_9) A_9, the product written into
     B_0's slot, is squared s times.  Whichever of B_0 and B_1 the last
     product writes is the one kept in ``l``, so T ends there and the buffer
-    is freed on return.  A diagonal L returns the vector exp(diag(L) dt)
-    instead and leaves ``l`` as it is: its exponential is elementwise and exact.
+    is freed on return.
     """
-    diagonal = np.diagonal(l)
-    if np.count_nonzero(l) == np.count_nonzero(diagonal):
-        return np.exp(diagonal * dt)
-
     norm = float(np.abs(l).sum(axis=0).max()) * dt
     if not np.isfinite(norm):
         raise PropagationError(f"generator norm ||L dt||_1 = {norm} is not finite")
@@ -369,11 +378,11 @@ def _step_matrix(l: np.ndarray, dt: float) -> np.ndarray:
 def _dense_states(gen: EchoGenerator, x: np.ndarray, grid: TimeGrid):
     """vec(X(t_k)) = exp(L dt)^k vec(X(0)) for k >= 1, one state at a time.
 
-    One step from :func:`_step_matrix` serves every point: a vector applied
-    elementwise for a diagonal generator, else a matrix-vector product.  The
-    build and the steps run numpy's BLAS on the thread count that
-    :func:`_pin_numpy_blas` replaced, and one thread again after, also on an
-    error; where no pin happened, the thread count is left alone.
+    One step matrix from :func:`_step_matrix` serves every point, a
+    matrix-vector product each.  The build and the steps run numpy's BLAS on
+    the thread count that :func:`_pin_numpy_blas` replaced, and one thread
+    again after, also on an error; where no pin happened, the thread count
+    is left alone.
     """
     set_threads, count = _numpy_blas
     set_threads(count)
@@ -381,7 +390,7 @@ def _dense_states(gen: EchoGenerator, x: np.ndarray, grid: TimeGrid):
         step = _step_matrix(gen.superoperator(), grid.dt)
         x = x.reshape(-1)
         for _ in range(1, len(grid)):
-            x = step @ x if step.ndim == 2 else step * x
+            x = step @ x
             yield x
     finally:
         set_threads(1)
@@ -397,45 +406,6 @@ _THETA = {
     23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7,
     40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
-
-
-def _action(gen: EchoGenerator):
-    """(apply, bound): x -> L x on a d x d state, and a bound on ||L||_1.
-
-    The left-only terms, -i H_lam and -rate fold into one left factor K_L, the
-    right-only terms and i H_0 into K_R, so L x = K_L x + x K_R + sum A x B
-    + (rate / d) tr[x] 1.  A term A x B is A kron B^T on row-major vec(x),
-    whose 1-norm is ||A||_1 ||B||_inf; the trace reinjection's is rate.
-    """
-    d = gen.dim
-    left = -1j * gen.h_lambda - gen.rate * np.eye(d)
-    right = 1j * gen.h_zero
-    products = []
-    for a, b in gen.terms:
-        if b is None:
-            left = left + a
-        elif a is None:
-            right = right + b
-        else:
-            products.append((a, b))
-    reinjection = gen.rate / d
-
-    def apply(x):
-        out = left @ x
-        out += x @ right
-        for a, b in products:
-            out += a @ x @ b
-        if reinjection:
-            np.einsum("ii->i", out)[...] += reinjection * np.einsum("ii->", x)
-        return out
-
-    def one(m):
-        return float(np.abs(m).sum(axis=0).max())
-
-    def inf(m):
-        return float(np.abs(m).sum(axis=1).max())
-
-    return apply, one(left) + inf(right) + sum(one(a) * inf(b) for a, b in products) + gen.rate
 
 
 def _taylor_degree(norm: float) -> tuple[int, int]:
@@ -476,11 +446,10 @@ def _taylor_action(apply, x: np.ndarray, h: float, m: int, s: int) -> np.ndarray
 
 def _matrix_free_states(gen: EchoGenerator, x: np.ndarray, grid: TimeGrid):
     """X(t_k) for k >= 1 by the truncated-Taylor action on d x d states, one grid step at a time."""
-    apply, bound = _action(gen)
-    m, s = _taylor_degree(bound * grid.dt)
+    m, s = _taylor_degree(gen.norm_bound() * grid.dt)
     x = np.ascontiguousarray(x)
     for _ in range(1, len(grid)):
-        x = _taylor_action(apply, x, grid.dt / s, m, s)
+        x = _taylor_action(gen.apply, x, grid.dt / s, m, s)
         yield x
 
 

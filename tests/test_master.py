@@ -18,7 +18,6 @@ from echo_gfa.master import (
     trace_curve,
     _MATRIX_FREE_DIM,
     _MAX_WORKING_BYTES,
-    _action,
     _dense_states,
     _matrix_free_states,
     _propagate_stepper,
@@ -202,14 +201,15 @@ class TestGenerators:
         l = gen.superoperator()
         assert l.shape == (n, n)
         assert np.max(np.abs(l - expected)) <= 1e-15 * np.max(np.abs(expected))
-        # and bit for bit against the Kronecker sum, term by term in apply's order
-        # (Hamiltonian pair first), then the damping -rate (1 - vec(1) vec(1)^T / dim)
+        # and bit for bit against the Kronecker sum in the order superoperator() fills it:
+        # K_L kron 1 + 1 kron K_R^T + sum A kron B^T + r vec(1) vec(1)^T
         eye = np.eye(dim)
         kron_sum = np.zeros((n, n), dtype=complex)
-        for a, b in ((-1j * gen.h_lambda, None), (None, 1j * gen.h_zero)) + gen.terms:
-            kron_sum += np.kron(eye if a is None else a, eye if b is None else b.T)
-        if gen.rate:
-            kron_sum += -gen.rate * (np.eye(n) - np.outer(eye.reshape(-1), eye.reshape(-1)) / dim)
+        kron_sum += np.kron(gen.k_left, eye)
+        kron_sum += np.kron(eye, gen.k_right.T)
+        for a, b in gen.products:
+            kron_sum += np.kron(a, b.T)
+        kron_sum += gen.reinjection * np.outer(eye.reshape(-1), eye.reshape(-1))
         assert np.array_equal(l, kron_sum)
 
     @pytest.mark.parametrize("stacked", [False, True])
@@ -217,7 +217,8 @@ class TestGenerators:
     @pytest.mark.parametrize("beta", [1, 2])
     @pytest.mark.parametrize("form", ["rmt", "delta", "exponential"])
     def test_dissipator_matches_its_formula(self, form, beta, dim, stacked):
-        # the generator's terms against the master equation written out from gamma_operator
+        # the generator's dissipator against the master equation written out from gamma_operator;
+        # at strength 1e-3 it is far below the Hamiltonian part, which must not cost it digits
         rng = np.random.default_rng(10 * dim + beta)
         h0 = sample_gaussian(dim, beta, rng)
         v = sample_gaussian(dim, beta, rng)
@@ -225,19 +226,19 @@ class TestGenerators:
         rho = np.stack([random_density(dim, rng) for _ in range(3)]) if stacked else random_density(dim, rng)
         if form == "rmt":
             rate = 0.3
-            gen = rmt_generator(h_lam, h0, rate)
             trace = np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
-            expected = -rate * (rho - trace / dim * np.eye(dim))
+            cases = [(rmt_generator(h_lam, h0, rate), -rate * (rho - trace / dim * np.eye(dim)))]
         else:
             kernel = CorrelationKernel.delta(1.0) if form == "delta" else CorrelationKernel.exponential(tau_c=0.5)
-            strength = 0.4
-            gen = general_generator(h_lam, h0, v, kernel, strength)
             gl = gamma_operator(kernel, Spectral.from_matrix(h_lam), v)
             g0 = gamma_operator(kernel, Spectral.from_matrix(h0), v)
-            expected = -strength**2 * (v @ gl @ rho - v @ rho @ g0 - gl @ rho @ v + rho @ g0 @ v)
-        got = gen.dissipator(rho)
-        assert got.shape == rho.shape
-        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+            formula = v @ gl @ rho - v @ rho @ g0 - gl @ rho @ v + rho @ g0 @ v
+            cases = [(general_generator(h_lam, h0, v, kernel, strength), -strength**2 * formula)
+                     for strength in (0.4, 1e-3)]
+        for gen, expected in cases:
+            got = gen.dissipator(rho)
+            assert got.shape == rho.shape
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_rmt_trace_dynamics(self):
         # d/dt tr X = -i lam tr[V X]; the damping term is traceless
@@ -279,6 +280,12 @@ class TestGenerators:
             rmt_generator(np.eye(2), np.eye(2), rate=-0.1)
         with pytest.raises(ValueError):
             rmt_generator(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), rate=0.1)
+
+    @pytest.mark.parametrize("rate", [pytest.param(10**400, id="10**400"), np.inf, np.nan, "0.1", None, True])
+    def test_rmt_rejects_rate_that_is_not_a_finite_number(self, rate):
+        # 10**400 is beyond the float range, and True is not the rate 1.0
+        with pytest.raises(ValueError, match="damping rate"):
+            rmt_generator(np.eye(2), np.eye(2), rate)
 
     def test_gue_average_reduces_to_isotropic_damping(self):
         # ensemble mean of the general dissipator over the coupling matrix
@@ -414,22 +421,17 @@ class TestPropagate:
         step = _step_matrix(a, 1.0)
         assert np.max(np.abs(step - exact)) <= 1e-13 * np.max(np.abs(exact))
 
-    def test_step_matrix_of_diagonal_generator_is_elementwise(self):
-        # lambda = 0 and rate 0 give a diagonal L: its step is the vector exp(diag(L) dt),
-        # and each grid step multiplies the state by it elementwise
+    def test_dense_route_of_diagonal_generator_matches_its_exponential(self):
+        # lambda = 0 and rate 0 give a diagonal L, whose exponential exp(diag(L) t) is elementwise
         real = make_realization(dim=5, seed=41)
         gen = realization_generator(real, lam=0.0, rate=0.0)
         l = gen.superoperator()
         assert np.count_nonzero(l - np.diag(np.diagonal(l))) == 0
         grid = TimeGrid(dt=0.3, n_steps=40)
-        step = _step_matrix(l, grid.dt)
-        assert np.array_equal(step, np.exp(np.diagonal(l) * grid.dt))
         rho0 = random_density(5, np.random.default_rng(41))
         states = np.array(list(_superoperator_states(gen, rho0, grid))).reshape(len(grid), -1)
-        expected = rho0.reshape(-1)
-        for state in states:
-            assert np.array_equal(state, expected)
-            expected = step * expected
+        expected = np.exp(np.outer(grid.times, np.diagonal(l))) * rho0.reshape(-1)
+        assert np.max(np.abs(states - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_step_matrix_of_overflowing_generator_fails_cleanly(self):
         # finite inputs whose L dt overflows leave no scaling power to choose
@@ -505,21 +507,18 @@ class TestMatrixFree:
         assert np.array_equal(states, free if dim >= _MATRIX_FREE_DIM else dense)
         assert np.array_equal(propagate(gen, rho0, grid).traces, np.einsum("tii->t", states))
 
-    @pytest.mark.parametrize("form", ["rmt", "exponential"])
-    def test_action_matches_apply(self, form):
-        gen = route_generator(form, 7, beta=2)
-        apply, bound = _action(gen)
-        for k in range(3):
-            rho = random_density(7, np.random.default_rng(k))
-            assert np.max(np.abs(apply(rho) - gen.apply(rho))) < 1e-12 * np.max(np.abs(gen.apply(rho)))
-        # the bound holds for ||L||_1 itself
-        assert np.abs(gen.superoperator()).sum(axis=0).max() <= bound * (1 + 1e-12)
+    @pytest.mark.parametrize("dim", [2, 3, 7])
+    @pytest.mark.parametrize("form", ["rmt", "delta", "exponential"])
+    def test_norm_bound_covers_superoperator(self, form, dim):
+        # the matrix-free route's substeps rest on norm_bound() >= ||L||_1
+        gen = route_generator(form, dim, beta=2)
+        assert np.abs(gen.superoperator()).sum(axis=0).max() <= gen.norm_bound() * (1 + 1e-12)
 
     def test_zero_state_stops_at_once(self):
         # the first term of a zero state already passes the stopping test, and the state stays zero
-        apply, bound = _action(route_generator("exponential", 9))
-        m, s = _taylor_degree(bound * 0.3)
-        assert not np.any(_taylor_action(apply, np.zeros((9, 9), dtype=complex), 0.3 / s, m, s))
+        gen = route_generator("exponential", 9)
+        m, s = _taylor_degree(gen.norm_bound() * 0.3)
+        assert not np.any(_taylor_action(gen.apply, np.zeros((9, 9), dtype=complex), 0.3 / s, m, s))
 
     @pytest.mark.parametrize("norm", [0.0, 1e-9, 0.5, 3.0, 40.0])
     def test_taylor_degree_is_the_cheapest_admissible(self, norm):
