@@ -62,7 +62,7 @@ EXIT_NUMERIC = 4
 
 THREADS_ENV = "ECHO_GFA_THREADS"
 
-# numpy's BLAS on one thread in the CLI process, but for general's dense route; pool workers pin their own
+# numpy's BLAS on one thread in the CLI process, but for general's dense route; forked workers inherit it
 _pin_numpy_blas()
 
 
@@ -211,7 +211,8 @@ def _resolve_threads(args) -> int:
     if threads < 1:
         raise ConfigError(f"{source} must be >= 1, got {threads}")
     if threads > (os.cpu_count() or threads):
-        print(f"warning: {source} = {threads} exceeds the {os.cpu_count()} CPU(s) of this machine", file=sys.stderr)
+        print(f"warning: {source} = {threads} exceeds the {os.cpu_count()} CPU(s) of this machine; "
+              f"the pool is capped at {os.cpu_count()} worker(s)", file=sys.stderr)
     return threads
 
 

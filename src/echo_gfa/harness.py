@@ -21,6 +21,7 @@ call, on the batch-averaged inputs <f> and <tr M>/dim.
 from __future__ import annotations
 
 import ctypes
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,7 +236,11 @@ def _release_free_heap() -> None:
 
 
 def _init_worker(errstate: dict) -> None:
-    """Pool initializer: the caller's floating-point handling, numpy's BLAS on one thread."""
+    """Pool initializer: the caller's floating-point handling, numpy's BLAS on one thread.
+
+    A worker forked from the CLI keeps its inherited pin; a forkserver or spawn
+    worker, or the fork of a caller that never pinned, is pinned here.
+    """
     np.seterr(**errstate)
     _pin_numpy_blas()
 
@@ -255,8 +260,8 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     # means are those of the stacked rows
     nt, m = len(grid), len(config.gamma_list)
     sums = [np.empty((config.n_batch,) + shape, dtype=complex) for shape in ((nt,), (nt,), (m, nt))]
-    # a worker per chunk at most; one chunk runs in this process
-    workers = min(n_jobs, len(tasks))
+    # at most a worker per chunk and per CPU, where the count is known; one runs in this process
+    workers = min(n_jobs, len(tasks), os.cpu_count() or n_jobs)
     pool = None
     if workers > 1:
         # imported here, so a run that starts no workers does not load the process pool

@@ -52,7 +52,7 @@ _MATRIX_FREE_DIM = 24
 # the most working memory the superoperator method may need, in bytes
 _MAX_WORKING_BYTES = 2**31
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-# numpy's OpenBLAS thread setter and the count the first _pin_numpy_blas replaced; a no-op until it pins
+# numpy's OpenBLAS thread setter and the count _pin_numpy_blas replaced; a no-op until it pins
 _numpy_blas = (lambda count: None, 1)
 
 
@@ -62,9 +62,11 @@ def _pin_numpy_blas() -> None:
     Most numpy BLAS calls here are small (eigh, phase-table GEMMs, Volterra
     products, the d x d products of the matrix-free route and the stepper),
     and OpenBLAS's second thread only spin-waits on them.  The count it
-    replaces is kept for the d^2 x d^2 products of :func:`_dense_states`,
-    where the pool helps.  The CLI calls this at import, and each pool worker in its
-    initializer, so a worker runs one thread under any start method.
+    replaces is kept for the d^2 x d^2 products of :func:`_dense_states`.
+    Only a count above one is pinned: a worker forked from the CLI inherits
+    its pin, and a forkserver or spawn worker pins in its initializer.  A
+    forked child that sets one thread starts OpenBLAS's spinning server thread,
+    so workers forked by a library caller that never imported the CLI get one.
     """
     global _numpy_blas
     if any(var in os.environ for var in BLAS_THREAD_VARS):
@@ -77,8 +79,10 @@ def _pin_numpy_blas() -> None:
         return  # not numpy's scipy-openblas wheel: leave BLAS as it is
     get_threads.argtypes, get_threads.restype = [], ctypes.c_int
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    _numpy_blas = (set_threads, max(_numpy_blas[1], get_threads()))  # a later pin finds one thread
-    set_threads(1)
+    count = get_threads()
+    if count > 1:
+        _numpy_blas = (set_threads, count)
+        set_threads(1)
 
 
 class PropagationError(RuntimeError):

@@ -351,6 +351,7 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out2), "--threads", "2"]) == EXIT_OK
         captured = capsys.readouterr()
         assert "--threads = 2 exceeds the 1 CPU(s)" in captured.err
+        assert "the pool is capped at 1 worker(s)" in captured.err
         assert "exceeds" not in captured.out
         # the warning changes nothing in --out: same files, same payload bytes
         assert sorted(p.name for p in out1.iterdir()) == sorted(p.name for p in out2.iterdir())
@@ -1141,14 +1142,26 @@ print(hashlib.sha256(traces.tobytes()).hexdigest())
         raised = TestValidateAndErrors.fresh_python(code, unset=BLAS_THREAD_VARS)
         assert raised == TestValidateAndErrors.fresh_python(code, OPENBLAS_NUM_THREADS="1")
 
+    # runs two 32-realization chunks on two workers, also on a one-CPU machine, through
+    # whatever harness._chunk_task the code above it installs
+    TWO_WORKERS = """
+import os
+from echo_gfa.curves import TimeGrid
+
+os.cpu_count = lambda: 2
+config = harness.ExperimentConfig(
+    dim=4, beta=2, master_seed=1, lam=0.1, gamma_list=(0.1,),
+    grid=TimeGrid(dt=0.1, n_steps=10), n_run=32, n_batch=2,
+)
+harness.run_ensemble(config, n_jobs=2)
+"""
+
     def test_pool_workers_inherit_one_thread(self):
-        # two chunks of 32 realizations, so run_ensemble starts two workers
         counts = self.run(
             """
 import os
 import echo_gfa.cli
 from echo_gfa import harness
-from echo_gfa.curves import TimeGrid
 
 chunk_task = harness._chunk_task
 
@@ -1161,12 +1174,32 @@ def reporting(args):
 
 parent = os.getpid()
 harness._chunk_task = reporting
-config = harness.ExperimentConfig(
-    dim=4, beta=2, master_seed=1, lam=0.1, gamma_list=(0.1,),
-    grid=TimeGrid(dt=0.1, n_steps=10), n_run=32, n_batch=2,
-)
-harness.run_ensemble(config, n_jobs=2)
 """
+            + self.TWO_WORKERS
+        )
+        assert counts == [1, 1]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc task list")
+    def test_forked_workers_start_no_blas_thread(self):
+        # a forked worker inherits the CLI's pin; pinning again in the child would start
+        # OpenBLAS's server thread, a second OS thread spinning beside the worker
+        counts = self.run(
+            """
+import multiprocessing
+import os
+import echo_gfa.cli
+from echo_gfa import harness
+
+chunk_task = harness._chunk_task
+
+def reporting(args):
+    os.write(1, b"%d\\n" % len(os.listdir("/proc/self/task")))
+    return chunk_task(args)
+
+multiprocessing.set_start_method("fork")
+harness._chunk_task = reporting
+"""
+            + self.TWO_WORKERS
         )
         assert counts == [1, 1]
 
@@ -1193,16 +1226,11 @@ import multiprocessing
 import blas_probe
 import echo_gfa.cli
 from echo_gfa import harness
-from echo_gfa.curves import TimeGrid
 
 multiprocessing.set_start_method("forkserver")
 harness._chunk_task = blas_probe.reporting
-config = harness.ExperimentConfig(
-    dim=4, beta=2, master_seed=1, lam=0.1, gamma_list=(0.1,),
-    grid=TimeGrid(dt=0.1, n_steps=10), n_run=32, n_batch=2,
-)
-harness.run_ensemble(config, n_jobs=2)
-""",
+"""
+            + self.TWO_WORKERS,
             PYTHONPATH=str(tmp_path),
         )
         assert counts == [1, 1]

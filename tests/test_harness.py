@@ -250,10 +250,11 @@ class TestRunEnsemble:
         assert np.max(np.abs(report.simulated[0.0].values - report.f_lambda.values)) < 1e-12
         assert np.max(np.abs(report.theory[0.0].values - report.f_lambda.values)) < 1e-12
 
-    def test_worker_count_does_not_change_bits(self):
-        # 40 realizations: two chunks, so two workers share them
+    def test_worker_count_does_not_change_bits(self, monkeypatch):
+        # 40 realizations: two chunks, so two workers share them, also on a one-CPU machine
         cfg = small_config(n_run=20, n_batch=2, gamma_list=(0.05,))
         serial = run_ensemble(cfg, n_jobs=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         parallel = run_ensemble(cfg, n_jobs=2)
         assert np.array_equal(serial.f_lambda.values, parallel.f_lambda.values)
         assert np.array_equal(serial.kernel.values, parallel.kernel.values)
@@ -274,6 +275,27 @@ class TestRunEnsemble:
         # run_ensemble imports the pool class from concurrent.futures when it starts one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         capped = run_ensemble(cfg, n_jobs=2)
+        assert np.array_equal(serial.f_lambda.values, capped.f_lambda.values)
+        for g in cfg.gamma_list:
+            assert np.array_equal(serial.simulated[g].values, capped.simulated[g].values)
+            assert np.array_equal(serial.theory[g].values, capped.theory[g].values)
+
+    def test_pool_is_capped_at_cpu_count(self, monkeypatch):
+        # 99 realizations: four chunks, so four workers were asked for
+        cfg = small_config(n_run=33, n_batch=3)
+        serial = run_ensemble(cfg, n_jobs=1)
+        started = []
+        pool_class = concurrent.futures.ProcessPoolExecutor
+
+        def recording(max_workers, **kwargs):
+            started.append(max_workers)
+            return pool_class(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # run_ensemble imports the pool class from concurrent.futures when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+        capped = run_ensemble(cfg, n_jobs=4)
+        assert started == [2]
         assert np.array_equal(serial.f_lambda.values, capped.f_lambda.values)
         for g in cfg.gamma_list:
             assert np.array_equal(serial.simulated[g].values, capped.simulated[g].values)
@@ -309,8 +331,9 @@ class TestRunEnsemble:
         def fail(cfg):
             raise ValueError("injected failure")
 
-        # forked workers inherit the patched module
+        # forked workers inherit the patched module; two of them, also on a one-CPU machine
         monkeypatch.setattr(harness_mod, "build_realization", fail)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         with pytest.raises(RuntimeError, match="injected failure"):
             run_ensemble(small_config(n_run=40), n_jobs=2)
         assert multiprocessing.active_children() == []
