@@ -353,9 +353,7 @@ def cmd_theory(args) -> int:
 
 def cmd_general(args) -> int:
     def produce(config, threads):
-        if threads > 1:
-            print("general: coupling draws run serially; --threads is ignored", file=sys.stderr)
-        f_general, reference, rate = run_general(config)
+        f_general, reference, rate = run_general(config, n_jobs=threads)
         # the draws' step matrices are freed: give their pages back before the curves are written
         _release_free_heap()
         summary = f"{config.n_draws} draw(s) (dim={config.dim}, method={config.method})"

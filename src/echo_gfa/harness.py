@@ -12,7 +12,9 @@ solves the realization's own integral equation (using that
 tr[M(t) M(tau)^dag] = tr[M(t - tau)]; O(dim^2) per time point).  A worker
 chunk solves all its (realization, Gamma) rows in one batched forward
 substitution.  The reduced master equation gives the same trace; it serves
-the gate checks and :func:`run_general`, not the ensemble runner.
+the gate checks and :func:`run_general`, not the ensemble runner.  Both
+runners send their tasks (chunks, or one coupling draw each) through
+:func:`_map_chunks`, the one process pool.
 
 The theory curves solve the same integral equation, for all rates in one
 call, on the batch-averaged inputs <f> and <tr M>/dim.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import volterra
+from . import master, volterra
 from .curves import FidelityCurve, TimeGrid, check_integer, check_number, check_same_grid
 from .echo import EchoOperator, EchoSetup, check_hermitian
 from .master import CorrelationKernel, _pin_numpy_blas, check_method, general_generator, propagate, rmt_generator, trace_curve
@@ -239,15 +241,34 @@ def _init_worker(errstate: dict) -> None:
     """Pool initializer: the caller's floating-point handling, numpy's BLAS on one thread.
 
     A worker forked from the CLI keeps its inherited pin; a forkserver or spawn
-    worker, or the fork of a caller that never pinned, is pinned here.
+    worker, or the fork of a caller that never pinned, is pinned here.  The dense
+    route keeps it too: in a forked child, raising it starts OpenBLAS's spinning server thread.
     """
     np.seterr(**errstate)
     _pin_numpy_blas()
+    master._numpy_blas = master._NO_PIN
+
+
+def _map_chunks(task, chunks: list, n_jobs: int):
+    """Yield ``task(chunk)`` in chunk order, on at most ``n_jobs`` workers, one per chunk and per CPU."""
+    check_integer("n_jobs", n_jobs, 1)
+    workers = min(n_jobs, len(chunks), os.cpu_count() or n_jobs)
+    if workers < 2:
+        # one worker runs in this process; importing the pool only below keeps such a run from loading it
+        yield from map(task, chunks)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    # the workers handle floating-point errors as the caller does (np.errstate)
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(np.geterr(),))
+    try:
+        yield from pool.map(task, chunks)
+    finally:
+        # also on a failed chunk: drop queued chunks, reap the workers
+        pool.shutdown(cancel_futures=True)
 
 
 def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     """Simulate the ensemble and derive theory curves from its averages."""
-    check_integer("n_jobs", n_jobs, 1)
     grid = config.grid
     n_total = config.n_batch * config.n_run
 
@@ -260,29 +281,14 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     # means are those of the stacked rows
     nt, m = len(grid), len(config.gamma_list)
     sums = [np.empty((config.n_batch,) + shape, dtype=complex) for shape in ((nt,), (nt,), (m, nt))]
-    # at most a worker per chunk and per CPU, where the count is known; one runs in this process
-    workers = min(n_jobs, len(tasks), os.cpu_count() or n_jobs)
-    pool = None
-    if workers > 1:
-        # imported here, so a run that starts no workers does not load the process pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the workers handle floating-point errors as the caller does (np.errstate)
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(np.geterr(),))
-    try:
-        results = map(_chunk_task, tasks) if pool is None else pool.map(_chunk_task, tasks)
-        for start, *parts in results:
-            for pos in range(parts[0].shape[0]):
-                batch, run = divmod(start + pos, config.n_run)
-                for total, part in zip(sums, parts):
-                    if run == 0:
-                        total[batch] = part[pos]
-                    else:
-                        total[batch] += part[pos]
-    finally:
-        if pool is not None:
-            # also on a failed realization: drop queued chunks, reap the workers
-            pool.shutdown(cancel_futures=True)
+    for start, *parts in _map_chunks(_chunk_task, tasks, n_jobs):
+        for pos in range(parts[0].shape[0]):
+            batch, run = divmod(start + pos, config.n_run)
+            for total, part in zip(sums, parts):
+                if run == 0:
+                    total[batch] = part[pos]
+                else:
+                    total[batch] += part[pos]
 
     def averaged(batch_sums):
         # batch means, then statistics over batches
@@ -296,14 +302,26 @@ def run_ensemble(config: ExperimentConfig, n_jobs: int = 1) -> RunReport:
     return RunReport(f_lambda, kernel, simulated, *theory_pipeline(f_lambda, kernel, config.gamma_list))
 
 
-def run_general(config: GeneralConfig) -> tuple[FidelityCurve, FidelityCurve, float]:
+def _draw_task(args):
+    """Propagate one coupling draw; returns its trace curve (worker entry point)."""
+    config, h_lam, h_zero, rho0, draw = args
+    dim, beta = config.dim, config.beta
+    coupling = config.coupling
+    if coupling is None:
+        coupling = sample_gaussian(dim, beta, stream(EnsembleConfig(dim, beta, config.master_seed, draw), "coupling"))
+    gen = general_generator(h_lam, h_zero, coupling, config.kernel, config.strength)
+    return propagate(gen, rho0, config.grid, method=config.method).traces
+
+
+def run_general(config: GeneralConfig, n_jobs: int = 1) -> tuple[FidelityCurve, FidelityCurve, float]:
     """Born-Markov runs over coupling draws and the reduced-equation reference.
 
     Returns (f_general, reference, rate): the mean trace curve over the
     draws with batch-statistics error bars, the trace curve of the reduced
     master equation at ``rate = strength**2 * dim * c0`` (the exact
     reduction rate for a delta kernel), and that rate.  Each propagation
-    keeps only its trace, so memory does not grow with the grid.
+    keeps only its trace, so memory does not grow with the grid.  The draws
+    run on up to ``n_jobs`` processes, the reference in this one.
     """
     dim, beta, grid = config.dim, config.beta, config.grid
     env = build_realization(EnsembleConfig(dim, beta, config.master_seed))
@@ -311,13 +329,8 @@ def run_general(config: GeneralConfig) -> tuple[FidelityCurve, FidelityCurve, fl
     h_lam = h_zero + config.lam * env.perturbation
     rho0 = EchoSetup(config.lam, grid, config.initial_state).state(dim)
 
-    traces = np.empty((config.n_draws, len(grid)), dtype=complex)
-    for draw in range(config.n_draws):
-        coupling = config.coupling
-        if coupling is None:
-            coupling = sample_gaussian(dim, beta, stream(EnsembleConfig(dim, beta, config.master_seed, draw), "coupling"))
-        gen = general_generator(h_lam, h_zero, coupling, config.kernel, config.strength)
-        traces[draw] = propagate(gen, rho0, grid, method=config.method).traces
+    tasks = [(config, h_lam, h_zero, rho0, draw) for draw in range(config.n_draws)]
+    traces = np.array(list(_map_chunks(_draw_task, tasks, n_jobs)))
     f_general = FidelityCurve(grid, *batch_statistics(traces))
 
     rate = config.strength ** 2 * dim * config.kernel.c0

@@ -52,8 +52,8 @@ _MATRIX_FREE_DIM = 24
 # the most working memory the superoperator method may need, in bytes
 _MAX_WORKING_BYTES = 2**31
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-# numpy's OpenBLAS thread setter and the count _pin_numpy_blas replaced; a no-op until it pins
-_numpy_blas = (lambda count: None, 1)
+# numpy's OpenBLAS thread setter and the count _pin_numpy_blas replaced; the no-op _NO_PIN until it pins
+_numpy_blas = _NO_PIN = (lambda count: None, 1)
 
 
 def _pin_numpy_blas() -> None:
@@ -62,10 +62,11 @@ def _pin_numpy_blas() -> None:
     Most numpy BLAS calls here are small (eigh, phase-table GEMMs, Volterra
     products, the d x d products of the matrix-free route and the stepper),
     and OpenBLAS's second thread only spin-waits on them.  The count it
-    replaces is kept for the d^2 x d^2 products of :func:`_dense_states`.
-    Only a count above one is pinned: a worker forked from the CLI inherits
-    its pin, and a forkserver or spawn worker pins in its initializer.  A
-    forked child that sets one thread starts OpenBLAS's spinning server thread,
+    replaces is kept for the d^2 x d^2 products of :func:`_dense_states` in a
+    process that runs its draws itself; pool workers run every route on one
+    thread.  Only a count above one is pinned: a worker forked from the CLI
+    inherits its pin, and a forkserver or spawn worker pins in its initializer.
+    A forked child that sets one thread starts OpenBLAS's spinning server thread,
     so workers forked by a library caller that never imported the CLI get one.
     """
     global _numpy_blas

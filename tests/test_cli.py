@@ -657,16 +657,17 @@ class TestGeneral:
         cfg = write_general_config(tmp_path / "g.json", kernel=kernel)
         assert main(["validate-config", "--config", str(cfg)]) == EXIT_CONFIG
 
-    def test_threads_note_goes_to_stderr(self, tmp_path, capsys):
+    def test_threads_spread_draws_silently(self, tmp_path, capsys, monkeypatch):
+        # two workers share the draws, also on a one-CPU machine; the bytes stay, and nothing is noted
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = write_general_config(tmp_path / "g.json", n_draws=2)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["general", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
-        assert "serially" not in capsys.readouterr().err
-        assert main(
-            ["general", "--config", str(cfg), "--out", str(out2), "--threads", "2"]
-        ) == EXIT_OK
-        assert "run serially" in capsys.readouterr().err
-        assert read_payloads(out1) == read_payloads(out2)
+        payloads = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            assert main(["general", "--config", str(cfg), "--out", str(out), "--threads", threads]) == EXIT_OK
+            assert capsys.readouterr().err == ""
+            payloads.append(read_payloads(out))
+        assert payloads[0] == payloads[1]
 
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # dim 16 gives a 256 x 256 step matrix, large enough for OpenBLAS to split
@@ -747,15 +748,16 @@ class TestSummaryLines:
         # the seed is no part of the run: curves and manifest (master_seed, config_hash) are byte-identical
         assert (read_payloads(out), (out / "manifest.json").read_bytes()) == plain
 
-    def test_general_and_threads_note(self, tmp_path, capsys):
+    def test_general_on_two_workers(self, tmp_path, capsys, monkeypatch):
+        # also on a one-CPU machine, where --threads 2 would warn
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg, out = write_general_config(tmp_path / "g.json"), tmp_path / "out"
         assert main(["general", "--config", str(cfg), "--out", str(out), "--threads", "2"]) == EXIT_OK
         captured = capsys.readouterr()
         assert self.masked(captured.out) == (
             f"general: 3 draw(s) (dim=4, method=superoperator) in X s -> {out} (3 files)\n"
         )
-        # a warning about the CPU count may precede the note on a one-CPU machine
-        assert captured.err.splitlines()[-1] == "general: coupling draws run serially; --threads is ignored"
+        assert captured.err == ""
 
 
 class TestValidateAndErrors:
@@ -1202,6 +1204,45 @@ harness._chunk_task = reporting
             + self.TWO_WORKERS
         )
         assert counts == [1, 1]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc task list")
+    def test_forked_general_workers_keep_one_thread(self):
+        # forked general workers run the dense route (dim 16) on the pin they inherit: raising
+        # numpy's pool there would start OpenBLAS's server thread beside the worker.  Each
+        # worker reports numpy's thread count within each step build and its OS threads after
+        # each draw; the parent's own build, for the reference, reports nothing.
+        counts = self.run(
+            """
+import multiprocessing
+import os
+import echo_gfa.cli
+from echo_gfa import harness, master
+from echo_gfa.curves import TimeGrid
+
+step_matrix, draw_task = master._step_matrix, harness._draw_task
+
+def reporting_build(l, dt):
+    if os.getpid() != parent:
+        os.write(1, b"%d\\n" % blas_threads("numpy.libs"))
+    return step_matrix(l, dt)
+
+def reporting(args):
+    trace = draw_task(args)
+    os.write(1, b"%d\\n" % len(os.listdir("/proc/self/task")))
+    return trace
+
+parent = os.getpid()
+os.cpu_count = lambda: 2
+multiprocessing.set_start_method("fork")
+master._step_matrix, harness._draw_task = reporting_build, reporting
+config = harness.GeneralConfig(
+    dim=16, beta=1, master_seed=3, lam=0.1, strength=0.1,
+    kernel=master.CorrelationKernel.exponential(tau_c=0.5), grid=TimeGrid(0.05, 20), n_draws=4,
+)
+harness.run_general(config, n_jobs=2)
+"""
+        )
+        assert counts == [1] * 8
 
     def test_forkserver_workers_pin_one_thread(self, tmp_path):
         # a forkserver worker imports echo_gfa.harness but not the CLI, so it inherits

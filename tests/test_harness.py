@@ -26,7 +26,7 @@ from echo_gfa.harness import (
     run_general,
     theory_pipeline,
 )
-from echo_gfa.master import CorrelationKernel, _superoperator_states, general_generator, rmt_generator
+from echo_gfa.master import _MATRIX_FREE_DIM, CorrelationKernel, _superoperator_states, general_generator, rmt_generator
 from echo_gfa.rmt import EnsembleConfig, build_realization, sample_gaussian, stream
 from echo_gfa.volterra import StepSizeError, solve_many
 
@@ -107,8 +107,12 @@ def small_general_config(**kw):
         lambda flag: small_config(n_batch=flag),
         lambda flag: small_general_config(n_draws=flag),
         lambda flag: run_ensemble(small_config(), n_jobs=flag),
+        lambda flag: run_general(small_general_config(), n_jobs=flag),
     ],
-    ids=["beta", "master_seed", "realization_index", "n_steps", "n_run", "n_batch", "n_draws", "n_jobs"],
+    ids=[
+        "beta", "master_seed", "realization_index", "n_steps", "n_run", "n_batch", "n_draws", "n_jobs",
+        "general-n_jobs",
+    ],
 )
 def test_integer_fields_reject_booleans(build, flag):
     # and every other non-integer: True == 1 and 2.0 == 2, so an equality check would read
@@ -463,6 +467,60 @@ class TestRunGeneral:
         assert np.array_equal(f_general.values, expected.values)
         assert np.array_equal(f_general.stderr_re, expected.stderr_re)
         assert np.array_equal(reference.values, traces_of(rmt_generator(h_lam, h_zero, rate)))
+
+    @staticmethod
+    def assert_same_bytes(got, want):
+        # (f_general, reference, rate) of two runs, bit for bit
+        for a, b in zip(got[:2], want[:2]):
+            for x, y in ((a.values, b.values), (a.stderr_re, b.stderr_re), (a.stderr_im, b.stderr_im)):
+                assert (x is None and y is None) or x.tobytes() == y.tobytes()
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("start_method", ["fork", "forkserver"])
+    @pytest.mark.parametrize("dim", [6, _MATRIX_FREE_DIM], ids=["dense", "matrix-free"])
+    def test_worker_count_does_not_change_bits(self, monkeypatch, dim, start_method):
+        # four draws on two workers, also on a one-CPU machine, started by the given method
+        config = small_general_config(dim=dim, n_draws=4, grid=TimeGrid(dt=0.05, n_steps=20))
+        serial = run_general(config, n_jobs=1)
+        started = []
+        pool_class = concurrent.futures.ProcessPoolExecutor
+
+        def starting(max_workers, **kwargs):
+            started.append(max_workers)
+            context = multiprocessing.get_context(start_method)
+            return pool_class(max_workers=max_workers, mp_context=context, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # the runner imports the pool class from concurrent.futures when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", starting)
+        self.assert_same_bytes(run_general(config, n_jobs=2), serial)
+        assert started == [2]
+
+    def test_one_cpu_starts_no_pool(self, monkeypatch):
+        config = small_general_config(n_draws=4)
+        serial = run_general(config)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started on one CPU")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        self.assert_same_bytes(run_general(config, n_jobs=2), serial)
+
+    def test_failing_draw_does_not_leak_workers(self, monkeypatch):
+        parent = os.getpid()
+
+        def fail_in_worker(*args):
+            if os.getpid() != parent:
+                raise ValueError("injected failure")
+            return general_generator(*args)
+
+        # forked workers inherit the patched module; two of them, also on a one-CPU machine
+        monkeypatch.setattr(harness_mod, "general_generator", fail_in_worker)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(ValueError, match="injected failure"):
+            run_general(small_general_config(n_draws=4), n_jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_matrix_free_run_is_fast_and_small(self):
         # dim 50, 8 draws: the matrix-free route takes seconds and well under 200 MB more
